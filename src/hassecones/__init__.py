@@ -2,24 +2,25 @@
 
 Given the splitting behaviour of a prime p in a totally real field, this
 package builds the embedding carousel, partial Hasse invariant weights, the
-minimal/standard/Hasse cones with exact double-description conversion,
-the greedy reduction and decomposition machinery, and the stratum-level
-Picard torsion computations, all in exact integer/rational arithmetic.
+minimal/standard/Hasse cones, the greedy reduction and decomposition
+machinery, and the stratum-level Picard torsion computations, all in exact
+integer/rational arithmetic.  Every matrix involved is block-diagonal over
+loci with one sigma-orbit per block, so the Hasse coordinates, the rays and
+normals of the (simplicial) cones and the Picard quotients are computed in
+closed form one orbit at a time.
 """
 
 from .carousel import Carousel, Embedding, build_carousel, n_of, orbit, sigma, sigma_inv
 from .cones import (
     HRepCone,
     MembershipCertificate,
+    SimplicialCone,
     SplitEqualityReport,
     SubsetCertificate,
     VRepCone,
     cone_equal,
     cone_subset,
     contains,
-    dd_h_to_v,
-    dd_v_to_h,
-    farkas_membership,
     hasse_cone,
     hasse_contains,
     min_cone,
@@ -75,9 +76,7 @@ from .strata import (
     StratumLabel,
     closure_set,
     fibre_degree,
-    invariant_factors,
     picard_relations,
-    smith_normal_form,
     stratum_dimension,
     theorem_bridge,
     torsion_summary,

@@ -130,3 +130,18 @@ def orbit(c: Carousel, tau: Embedding) -> tuple[Embedding, ...]:
         out.append(cur)
         cur = c.sigma_table[cur]
     return tuple(c.embeddings[j] for j in out)
+
+
+def locus_orbits(c: Carousel) -> tuple[tuple[int, ...], ...]:
+    """Canonical positions of each locus, walked as the sigma-orbit of its first embedding."""
+    out = []
+    start = 0
+    for locus in c.profile.loci:
+        walk = [start]
+        cur = c.sigma_table[start]
+        while cur != start:
+            walk.append(cur)
+            cur = c.sigma_table[cur]
+        out.append(tuple(walk))
+        start += locus.degree
+    return tuple(out)

@@ -20,8 +20,6 @@ from . import selftest as selftest_mod
 from .carousel import build_carousel
 from .cones import (
     cone_subset,
-    dd_h_to_v,
-    dd_v_to_h,
     hasse_cone,
     hasse_contains,
     min_cone,
@@ -41,7 +39,7 @@ from .errors import (
     SchemaError,
     SingletonOrbit,
 )
-from .gfpoly import MinPolySpec, factor_mod_p, profile_from_minpoly
+from .gfpoly import MinPolySpec, ModPFactorization, _profile_and_factorization
 from .hasse import Weight, hasse_coordinates, hasse_lattice_index, hasse_matrix
 from .intlinalg import bareiss_determinant
 from .profile import SplittingProfile, parse_profile, profile_from_data
@@ -76,7 +74,8 @@ def _frac(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _load_profile(args) -> SplittingProfile:
+def _load_profile(args) -> tuple[SplittingProfile, ModPFactorization | None]:
+    """The profile, with the mod-p factorization it was read from under --minpoly."""
     if getattr(args, "profile", None) and getattr(args, "minpoly", None):
         raise UsageError("pass either --profile or --minpoly/--p, not both")
     if getattr(args, "profile", None):
@@ -87,12 +86,12 @@ def _load_profile(args) -> SplittingProfile:
                     text = handle.read()
             except OSError as exc:
                 raise UsageError(f"cannot read profile file {text[1:]!r}: {exc}") from exc
-        return parse_profile(text)
+        return parse_profile(text), None
     if getattr(args, "minpoly", None):
         if getattr(args, "p", None) is None:
             raise UsageError("--minpoly requires --p")
         coeffs = _parse_int_list(args.minpoly, "--minpoly")
-        return profile_from_minpoly(MinPolySpec(tuple(coeffs), args.p), seed=args.seed)
+        return _profile_and_factorization(MinPolySpec(tuple(coeffs), args.p), seed=args.seed)
     raise UsageError("a profile is required: --profile or --minpoly with --p")
 
 
@@ -125,12 +124,10 @@ def _profile_payload(profile: SplittingProfile, c) -> dict:
 
 
 def _cmd_profile(args) -> dict:
-    profile = _load_profile(args)
+    profile, fact = _load_profile(args)
     c = build_carousel(profile)
     payload = _profile_payload(profile, c)
-    if getattr(args, "minpoly", None):
-        coeffs = _parse_int_list(args.minpoly, "--minpoly")
-        fact = factor_mod_p(MinPolySpec(tuple(coeffs), args.p), seed=args.seed)
+    if fact is not None:
         payload["mod_p_factorization"] = [
             {"coefficients": list(poly), "multiplicity": mult} for poly, mult in fact.factors
         ]
@@ -138,7 +135,7 @@ def _cmd_profile(args) -> dict:
 
 
 def _cmd_cones(args) -> dict:
-    profile = _load_profile(args)
+    profile, _ = _load_profile(args)
     c = build_carousel(profile)
     cone_min = min_cone(c)
     cone_std = std_cone(c)
@@ -159,12 +156,12 @@ def _cmd_cones(args) -> dict:
         "profile": profile.as_dict(),
         "min_cone": {
             "normals": [list(row) for row in cone_min.normals],
-            "rays": [list(ray) for ray in dd_h_to_v(cone_min).rays],
+            "rays": [list(ray) for ray in cone_min.rays],
         },
         "std_cone": {"normals": [list(row) for row in cone_std.normals]},
         "hasse_cone": {
             "rays": [list(ray) for ray in cone_hasse.rays],
-            "normals": [list(row) for row in dd_v_to_h(cone_hasse).normals],
+            "normals": [list(row) for row in cone_hasse.normals],
         },
         "hasse_matrix": [list(row) for row in matrix.rows],
         "determinant": det,
@@ -175,7 +172,7 @@ def _cmd_cones(args) -> dict:
 
 
 def _cmd_reduce(args) -> dict:
-    profile = _load_profile(args)
+    profile, _ = _load_profile(args)
     c = build_carousel(profile)
     if args.weight is None:
         raise UsageError("reduce requires --weight")
@@ -235,10 +232,13 @@ def _stratum_row(c, label: StratumLabel) -> dict:
 
 
 def _cmd_picard(args) -> dict:
-    profile = _load_profile(args)
+    profile, _ = _load_profile(args)
     c = build_carousel(profile)
     if args.stratum is not None:
-        label = StratumLabel.from_bitstring(args.stratum)
+        try:
+            label = StratumLabel.from_bitstring(args.stratum)
+        except InvariantError as exc:
+            raise UsageError(f"--stratum: {exc}") from exc
         if label.size != c.d:
             raise UsageError(f"--stratum has length {label.size}, profile degree is {c.d}")
         return {"profile": profile.as_dict(), "strata": [_stratum_row(c, label)]}
@@ -253,7 +253,7 @@ def _cmd_picard(args) -> dict:
 
 
 def _cmd_bridge(args) -> dict:
-    profile = _load_profile(args)
+    profile, _ = _load_profile(args)
     c = build_carousel(profile)
     if args.weight is None:
         raise UsageError("bridge requires --weight")

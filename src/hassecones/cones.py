@@ -1,4 +1,4 @@
-"""Rational polyhedral cones: H/V representations, conversion, membership.
+"""Rational polyhedral cones: the three weight cones and certified membership.
 
 Three cones in Q^Sigma drive the weight combinatorics:
 
@@ -9,31 +9,33 @@ Three cones in Q^Sigma drive the weight combinatorics:
 with C^min contained in C^st contained in C^Hasse, and C^min = C^Hasse
 exactly when p is totally split.
 
-Representation conversion is the double description method, maintained as a
-pair (lineality basis B, extreme rays R).  Constraints are inserted in
-lexicographic order; a constraint that meets the lineality space pivots one
-basis vector into a new ray and projects the rest, otherwise the classical
-ray step runs with the rank-based adjacency test (two rays are adjacent iff
-the inserted rows tight at both have rank = rank(inserted) - 2).  The V-to-H
-direction is the same computation applied to the dual cone.
+All three are simplicial, and each is built with both its d rays and its d
+facet normals, written down one sigma-orbit at a time.  On the orbit
+rho, sigma rho, ..., sigma^{m-1} rho of a locus, with partial products
+c_j = n_{sigma rho} ... n_{sigma^j rho} (c_0 = 1):
 
-Membership in a V-representation is decided independently of conversion by an
-exact phase-I simplex over Fraction with Bland's rule; both routes return
-verified certificates, never bare booleans.
+  * the C^Hasse normal for rho (a row of M^{-1}, scaled) has c_j at sigma^j rho;
+  * the C^min ray for rho (a column of N^{-1}, scaled) has
+    c_{m-1} / c_j = n_{sigma^{j+1} rho} ... n_{sigma^{m-1} rho} at sigma^j rho.
+
+Both are primitive (an entry is 1).  Membership, subset and equality are sign
+checks of vectors against normals.  Answers are certificates, never bare
+booleans: the slacks for a member, and for a non-member a violated normal.
+A SimplicialCone verifies the pairing of its rays and normals when it is
+built, so that normal is an integral separator: negative on x, nonnegative
+on every ray.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from .carousel import Carousel
-from .errors import DimensionMismatch, DimensionTooLarge, InternalCheckError, InvariantError
+from .carousel import Carousel, locus_orbits
+from .errors import DimensionMismatch, InternalCheckError, InvariantError
 from .hasse import Weight, check_weight, coordinates_scaled
-from .intlinalg import dot, primitive, rank
-
-MAX_DD_DIMENSION = 16
+from .intlinalg import dot, primitive
 
 
 def _canonical_rows(rows, dim: int):
@@ -72,110 +74,82 @@ class VRepCone:
         return cls(dim, _canonical_rows(rows, dim))
 
 
-def min_cone(c: Carousel) -> HRepCone:
-    """H-representation of C^min; split loci contribute (p - 1) e_tau rows."""
-    rows = []
+@dataclass(frozen=True)
+class SimplicialCone:
+    """A full-dimensional simplicial cone in both representations.
+
+    Generated by `rays` and cut out by `normals`, d of each.  On construction
+    every normal is checked to vanish on all rays but one, to be positive on
+    that one, and to pick a ray no other normal picks: the pairing matrix is
+    then a permutation of a positive diagonal, which proves both describe the
+    same cone.
+    """
+
+    dim: int
+    rays: tuple[tuple[int, ...], ...]
+    normals: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        if not (len(self.rays) == len(self.normals) == self.dim):
+            raise InternalCheckError("a simplicial cone needs d rays and d normals")
+        picked = set()
+        for normal in self.normals:
+            pairing = [dot(normal, ray) for ray in self.rays]
+            hits = [i for i, v in enumerate(pairing) if v]
+            if min(pairing) < 0 or len(hits) != 1 or hits[0] in picked:
+                raise InternalCheckError(f"normal {normal} is not dual to exactly one ray of its own")
+            picked.add(hits[0])
+
+    @classmethod
+    def from_rows(cls, rays, normals, dim: int) -> "SimplicialCone":
+        return cls(dim, _canonical_rows(rays, dim), _canonical_rows(normals, dim))
+
+
+def _rotations(c: Carousel):
+    """(walk, c) per embedding rho: walk[j] = sigma^j rho, c[j] = n_{sigma rho} ... n_{sigma^j rho}."""
+    for orbit in locus_orbits(c):
+        for t in range(len(orbit)):
+            walk = orbit[t:] + orbit[:t]
+            prods = [1]
+            for j in walk[1:]:
+                prods.append(prods[-1] * c.n_table[j])
+            yield walk, prods
+
+
+def _on_orbit(d: int, walk, values) -> tuple[int, ...]:
+    vec = [0] * d
+    for j, v in zip(walk, values):
+        vec[j] = v
+    return tuple(vec)
+
+
+def min_cone(c: Carousel) -> SimplicialCone:
+    """C^min; split loci contribute (p - 1) e_tau rows, normalized to e_tau."""
+    normals = []
     for j in range(c.d):
         row = [0] * c.d
         row[j] += c.n_table[j]
         row[c.sigma_inv_table[j]] -= 1
-        rows.append(row)
-    return HRepCone.from_rows(rows, c.d)
+        normals.append(row)
+    rays = [_on_orbit(c.d, walk, [prods[-1] // v for v in prods]) for walk, prods in _rotations(c)]
+    return SimplicialCone.from_rows(rays, normals, c.d)
 
 
-def std_cone(c: Carousel) -> HRepCone:
-    rows = [[1 if i == j else 0 for i in range(c.d)] for j in range(c.d)]
-    return HRepCone.from_rows(rows, c.d)
+def std_cone(c: Carousel) -> SimplicialCone:
+    units = [[1 if i == j else 0 for i in range(c.d)] for j in range(c.d)]
+    return SimplicialCone.from_rows(units, units, c.d)
 
 
-def hasse_cone(c: Carousel) -> VRepCone:
-    """V-representation of C^Hasse, one primitive ray per Hasse weight."""
+def hasse_cone(c: Carousel) -> SimplicialCone:
+    """C^Hasse, one primitive ray per Hasse weight."""
     rays = []
     for j in range(c.d):
         ray = [0] * c.d
         ray[c.sigma_inv_table[j]] += c.n_table[j]
         ray[j] -= 1
         rays.append(ray)
-    return VRepCone.from_rows(rays, c.d)
-
-
-# ---------------------------------------------------------------------------
-# Double description
-
-
-def _adjacent(rp, rm, inserted, cur_rank: int) -> bool:
-    tight = [row for row in inserted if dot(row, rp) == 0 and dot(row, rm) == 0]
-    return rank(tight, len(rp)) == cur_rank - 2
-
-
-def _dd_pair(constraints, dim: int):
-    """Core DD sweep: returns (lineality basis, extreme rays mod lineality)."""
-    basis = [tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)]
-    rays: list[tuple[int, ...]] = []
-    inserted: list[tuple[int, ...]] = []
-    for a in sorted(constraints):
-        bdots = [dot(a, b) for b in basis]
-        if any(bdots):
-            # A lineality vector leaves the hyperplane: pivot it into a ray.
-            j = next(i for i, t in enumerate(bdots) if t != 0)
-            b0 = basis[j] if bdots[j] > 0 else tuple(-x for x in basis[j])
-            s = abs(bdots[j])
-            new_basis = []
-            for idx, b in enumerate(basis):
-                if idx == j:
-                    continue
-                t = bdots[idx]
-                new_basis.append(primitive(tuple(s * x - t * y for x, y in zip(b, b0))))
-            projected = []
-            for r in rays:
-                t = dot(a, r)
-                projected.append(primitive(tuple(s * x - t * y for x, y in zip(r, b0))))
-            rays = sorted(set(projected) | {primitive(b0)})
-            basis = new_basis
-        else:
-            signed = [(dot(a, r), r) for r in rays]
-            plus = [r for t, r in signed if t > 0]
-            zero = [r for t, r in signed if t == 0]
-            minus = [(t, r) for t, r in signed if t < 0]
-            if minus:
-                cur_rank = dim - len(basis)
-                fresh = set()
-                for tp, rp in ((t, r) for t, r in signed if t > 0):
-                    for tm, rm in minus:
-                        if _adjacent(rp, rm, inserted, cur_rank):
-                            combo = tuple(tp * x - tm * y for x, y in zip(rm, rp))
-                            if any(combo):
-                                fresh.add(primitive(combo))
-                rays = sorted(set(plus) | set(zero) | fresh)
-        inserted.append(a)
-    return basis, rays
-
-
-def _dd_generators(constraints, dim: int) -> tuple[tuple[int, ...], ...]:
-    basis, rays = _dd_pair(constraints, dim)
-    out = set(rays)
-    for b in basis:
-        out.add(primitive(b))
-        out.add(primitive(tuple(-x for x in b)))
-    return tuple(sorted(out))
-
-
-def dd_h_to_v(cone: HRepCone) -> VRepCone:
-    """Extreme rays (plus +/- a lineality basis) of an H-represented cone."""
-    if cone.dim > MAX_DD_DIMENSION:
-        raise DimensionTooLarge(f"double description capped at dimension {MAX_DD_DIMENSION}")
-    generators = _dd_generators(cone.normals, cone.dim)
-    if not generators:
-        return VRepCone(cone.dim, ())
-    return VRepCone.from_rows(generators, cone.dim)
-
-
-def dd_v_to_h(cone: VRepCone) -> HRepCone:
-    """Facet normals of a V-represented cone, via double description on the dual."""
-    if cone.dim > MAX_DD_DIMENSION:
-        raise DimensionTooLarge(f"double description capped at dimension {MAX_DD_DIMENSION}")
-    normals = _dd_generators(cone.rays, cone.dim)
-    return HRepCone(cone.dim, normals)
+    normals = [_on_orbit(c.d, walk, prods) for walk, prods in _rotations(c)]
+    return SimplicialCone.from_rows(rays, normals, c.d)
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +160,11 @@ def dd_v_to_h(cone: VRepCone) -> HRepCone:
 class MembershipCertificate:
     """Verdict plus an exact certificate.
 
-    member=True : witness is slacks (H-rep), a nonnegative combination
-                  lambda over the rays (V-rep), or Hasse coordinates.
-    member=False: witness is (row index, slack) for a violated inequality, or
-                  a separating integer vector z with z.x < 0 <= z.rays.
+    member=True : witness is the slacks a . x >= 0 of every normal, or the
+                  Hasse coordinates.
+    member=False: witness is (row index, slack) for a violated normal, or
+                  (embedding index, coordinate) for a negative Hasse
+                  coordinate.
     """
 
     member: bool
@@ -200,29 +175,27 @@ class MembershipCertificate:
         return self.member
 
 
-def _as_fractions(x, dim: int) -> tuple[Fraction, ...]:
-    entries = tuple(Fraction(v) for v in x)
-    if len(entries) != dim:
-        raise DimensionMismatch(f"vector has length {len(entries)}, expected {dim}")
-    return entries
+def _exact(v):
+    try:
+        return operator.index(v)
+    except TypeError:
+        return Fraction(v)
 
 
 def contains(cone, x) -> MembershipCertificate:
-    """Exact membership of a rational vector in an H- or V-represented cone."""
-    if isinstance(cone, HRepCone):
-        vec = _as_fractions(x, cone.dim)
-        slacks = tuple(sum(a * v for a, v in zip(row, vec)) for row in cone.normals)
-        for index, slack in enumerate(slacks):
-            if slack < 0:
-                return MembershipCertificate(False, "hrep-violation", (index, slack))
-        return MembershipCertificate(True, "hrep-slacks", slacks)
-    if isinstance(cone, VRepCone):
-        vec = _as_fractions(x, cone.dim)
-        ok, witness = farkas_membership(cone.rays, vec)
-        if ok:
-            return MembershipCertificate(True, "vrep-combination", witness)
-        return MembershipCertificate(False, "vrep-separator", witness)
-    raise TypeError(f"not a cone: {cone!r}")
+    """Exact membership of a rational vector in a cone with known normals."""
+    if not isinstance(cone, (HRepCone, SimplicialCone)):
+        raise TypeError(f"membership needs the facet normals of the cone, got {cone!r}")
+    vec = tuple(_exact(v) for v in x)
+    if len(vec) != cone.dim:
+        raise DimensionMismatch(f"vector has length {len(vec)}, expected {cone.dim}")
+    slacks = []
+    for index, row in enumerate(cone.normals):
+        slack = Fraction(dot(row, vec))
+        if slack < 0:
+            return MembershipCertificate(False, "hrep-violation", (index, slack))
+        slacks.append(slack)
+    return MembershipCertificate(True, "hrep-slacks", tuple(slacks))
 
 
 def hasse_contains(c: Carousel, k: Weight) -> MembershipCertificate:
@@ -233,84 +206,6 @@ def hasse_contains(c: Carousel, k: Weight) -> MembershipCertificate:
         if num < 0:
             return MembershipCertificate(False, "hasse-coordinate", (index, Fraction(num, den)))
     return MembershipCertificate(True, "hasse-coordinates", tuple(Fraction(n, den) for n in nums))
-
-
-def farkas_membership(rays, x: tuple[Fraction, ...]):
-    """Is x a nonnegative rational combination of the rays?
-
-    Exact phase-I simplex with Bland's rule.  Returns (True, lambdas) or
-    (False, separator) where the separator z is integral, z.x < 0, and
-    z.r >= 0 for every ray; both certificates are verified before returning.
-    """
-    dim = len(x)
-    n = len(rays)
-    sign = [1 if xi >= 0 else -1 for xi in x]
-    # Columns: n lambda variables then dim artificials; rhs last.
-    table = []
-    for i in range(dim):
-        row = [Fraction(sign[i] * r[i]) for r in rays]
-        row += [Fraction(1 if j == i else 0) for j in range(dim)]
-        row.append(sign[i] * x[i])
-        table.append(row)
-    basis = [n + i for i in range(dim)]
-    ncols = n + dim
-    # Reduced-cost row for minimizing the artificial sum: z_j = sum_i A[i][j] - c_j.
-    zrow = [sum(table[i][j] for i in range(dim)) for j in range(ncols + 1)]
-    for j in range(n, ncols):
-        zrow[j] -= 1
-
-    while True:
-        enter = next((j for j in range(ncols) if zrow[j] > 0), None)
-        if enter is None:
-            break
-        leave = None
-        best = None
-        for i in range(dim):
-            coef = table[i][enter]
-            if coef > 0:
-                ratio = table[i][ncols] / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave is None:
-            raise InternalCheckError("phase-I simplex unbounded")
-        pivot = table[leave][enter]
-        table[leave] = [v / pivot for v in table[leave]]
-        for i in range(dim):
-            if i != leave and table[i][enter]:
-                factor = table[i][enter]
-                table[i] = [v - factor * w for v, w in zip(table[i], table[leave])]
-        factor = zrow[enter]
-        zrow = [v - factor * w for v, w in zip(zrow, table[leave])]
-        basis[leave] = enter
-
-    objective = zrow[ncols]
-    if objective == 0:
-        lam = [Fraction(0)] * n
-        for i, var in enumerate(basis):
-            if var < n:
-                lam[var] = table[i][ncols]
-        if any(l < 0 for l in lam):
-            raise InternalCheckError("simplex produced a negative multiplier")
-        for i in range(dim):
-            if sum(lam[j] * rays[j][i] for j in range(n)) != x[i]:
-                raise InternalCheckError("membership combination failed verification")
-        return True, tuple(lam)
-
-    # Dual certificate: the simplex multipliers satisfy y_i = 1 + (z_j - c_j)
-    # on the artificial column for row i; the separator is z = -sign * y.
-    y = [1 + zrow[n + i] for i in range(dim)]
-    z = [-sign[i] * y[i] for i in range(dim)]
-    denom_lcm = 1
-    for v in z:
-        denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-    zi = primitive(tuple(int(v * denom_lcm) for v in z))
-    if sum(w * v for w, v in zip(zi, x)) >= 0:
-        raise InternalCheckError("separator fails z.x < 0")
-    for r in rays:
-        if dot(zi, r) < 0:
-            raise InternalCheckError("separator fails z.r >= 0")
-    return False, zi
 
 
 # ---------------------------------------------------------------------------
@@ -328,26 +223,17 @@ class SubsetCertificate:
         return self.holds
 
 
-def _as_vrep(cone) -> VRepCone:
-    return cone if isinstance(cone, VRepCone) else dd_h_to_v(cone)
-
-
 def cone_subset(inner, outer) -> SubsetCertificate:
-    """Is every generator of `inner` contained in `outer`?
+    """Is every ray of `inner` contained in `outer`?
 
-    `inner` is converted to rays if needed; membership in `outer` uses its
-    native representation (no conversion, so H-rep outers have no dimension
-    cap).  Sound because cones are closed under nonnegative combinations.
+    `inner` needs rays (VRepCone or SimplicialCone) and `outer` normals
+    (HRepCone or SimplicialCone).  Sound because cones are closed under
+    nonnegative combinations.
     """
-    rays = _as_vrep(inner).rays
-    certs = []
-    holds = True
-    for ray in rays:
-        cert = contains(outer, ray)
-        certs.append((ray, cert))
-        if not cert.member:
-            holds = False
-    return SubsetCertificate(holds, tuple(certs))
+    if not isinstance(inner, (VRepCone, SimplicialCone)):
+        raise TypeError(f"subset needs the rays of the inner cone, got {inner!r}")
+    certs = tuple((ray, contains(outer, ray)) for ray in inner.rays)
+    return SubsetCertificate(all(cert.member for _, cert in certs), certs)
 
 
 def cone_equal(a, b) -> bool:

@@ -31,7 +31,7 @@ class DimensionMismatch(HasseConesError):
 
 
 class DimensionTooLarge(HasseConesError):
-    """Double-description conversion requested above the supported dimension."""
+    """An input's degree exceeds a documented cap (the selftest panel's)."""
 
 
 class NotReducible(HasseConesError):

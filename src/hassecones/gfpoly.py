@@ -306,8 +306,12 @@ def dedekind_p_maximal(g: MinPolySpec, seed: int = 0) -> bool:
     With g mod p = prod gi**ei, set g* = prod lift(gi), h* = lift(g mod p / g*),
     F = (g* h* - g)/p; the order is p-maximal iff gcd(F mod p, g*, h*) = 1.
     """
+    return _dedekind(g, factor_mod_p(g, seed))
+
+
+def _dedekind(g: MinPolySpec, fact: ModPFactorization) -> bool:
+    """Dedekind's criterion on an already computed factorization of g mod p."""
     p = g.p
-    fact = factor_mod_p(g, seed)
     gstar_bar = ONE
     hstar_bar = ONE
     for gi, ei in fact.factors:
@@ -327,14 +331,19 @@ def dedekind_p_maximal(g: MinPolySpec, seed: int = 0) -> bool:
 
 def profile_from_minpoly(g: MinPolySpec, seed: int = 0) -> SplittingProfile:
     """Splitting profile of p read off a p-maximal minimal polynomial."""
-    if not dedekind_p_maximal(g, seed):
+    return _profile_and_factorization(g, seed)[0]
+
+
+def _profile_and_factorization(g: MinPolySpec, seed: int = 0) -> tuple[SplittingProfile, ModPFactorization]:
+    """The splitting profile together with the one factorization of g mod p it is read from."""
+    fact = factor_mod_p(g, seed)
+    if not _dedekind(g, fact):
         raise NotPMaximal(
             f"polynomial {list(g.coefficients)} is not p-maximal at p={g.p}; "
             "the mod-p factorization does not determine the splitting"
         )
-    fact = factor_mod_p(g, seed)
     loci = tuple(PrimeLocus(e=mult, f=degree(irr)) for irr, mult in fact.factors)
     profile = SplittingProfile(g.p, loci)
     if profile.degree != g.degree:
         raise InternalCheckError("sum of e*f does not match the polynomial degree")
-    return profile
+    return profile, fact

@@ -4,22 +4,22 @@ The partial Hasse invariant attached to tau has weight
 
     h_tau = n_tau * e_{sigma^{-1} tau} - e_tau,
 
-one column of the Hasse matrix M per embedding.  M is invertible with
-|det M| = prod over loci of (p**f - 1), so every integer weight k has unique
-rational Hasse coordinates y with M y = k; their denominators divide |det M|.
-The solve is exact: a cached integer adjugate (computed once per carousel by
-fraction-free elimination) turns each request into integer dot products.
+one column of the Hasse matrix M per embedding.  M is block-diagonal over
+loci, and each block is a weighted cyclic shift along one sigma-orbit whose
+multipliers multiply to p**f.  So |det M| = prod over loci of (p**f - 1), and
+every integer weight k has unique rational Hasse coordinates y with M y = k.
+Row tau of M y = k reads k_tau = n_{sigma tau} y_{sigma tau} - y_tau, which
+is solved exactly once around each orbit, with no matrix inversion.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .carousel import Carousel, Embedding
-from .errors import DimensionMismatch
-from .intlinalg import adjugate_with_det, mat_vec
+from .carousel import Carousel, Embedding, locus_orbits
+from .errors import DimensionMismatch, InternalCheckError, SchemaError
 from .profile import SplittingProfile
 
 
@@ -30,7 +30,11 @@ class Weight:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        try:
+            coords = tuple(operator.index(c) for c in self.coords)
+        except TypeError as exc:
+            raise SchemaError(f"weight entries must be integers, got {self.coords!r}") from exc
+        object.__setattr__(self, "coords", coords)
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -113,24 +117,37 @@ def hasse_lattice_index(profile: SplittingProfile) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
-def _solver(c: Carousel) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Adjugate rows and positive determinant for the carousel's Hasse matrix.
-
-    Normalized so the returned denominator is positive: y = (adj @ k) / den.
-    """
-    adj, det = adjugate_with_det(hasse_matrix(c).rows)
-    if det < 0:
-        adj = tuple(tuple(-a for a in row) for row in adj)
-        det = -det
-    return adj, det
-
-
 def coordinates_scaled(c: Carousel, k: Weight) -> tuple[tuple[int, ...], int]:
-    """Hasse coordinates as (numerators, common positive denominator)."""
+    """Hasse coordinates as (numerators, common positive denominator).
+
+    The denominator is hasse_lattice_index.  On the orbit rho, sigma rho, ...,
+    sigma^{m-1} rho of a locus with residue degree f, going once around gives
+
+        (p**f - 1) y_rho = sum_j c_j k_{sigma^j rho},   c_j = n_{sigma rho} ... n_{sigma^j rho},
+
+    and then y_{sigma^{-1} tau} = n_tau y_tau - k_{sigma^{-1} tau} back around
+    the orbit.  The one row the walk does not impose is checked.
+    """
     check_weight(c, k)
-    adj, den = _solver(c)
-    return mat_vec(adj, k.coords), den
+    den = hasse_lattice_index(c.profile)
+    n = c.n_table
+    nums = [0] * c.d
+    for orbit, locus in zip(locus_orbits(c), c.profile.loci):
+        q = c.profile.p**locus.f - 1
+        m = len(orbit)
+        # ys[t] = q * y at orbit[t]; the sum around the orbit in Horner form.
+        acc = 0
+        for t in range(m - 1, 0, -1):
+            acc = n[orbit[t]] * (k[orbit[t]] + acc)
+        ys = [k[orbit[0]] + acc] + [0] * (m - 1)
+        for t in range(m - 1, 0, -1):
+            ys[t] = n[orbit[(t + 1) % m]] * ys[(t + 1) % m] - q * k[orbit[t]]
+        if n[orbit[1 % m]] * ys[1 % m] - ys[0] != q * k[orbit[0]]:
+            raise InternalCheckError(f"orbit solve fails row {orbit[0]} of M y = k")
+        scale = den // q
+        for j, y in zip(orbit, ys):
+            nums[j] = y * scale
+    return tuple(nums), den
 
 
 def hasse_coordinates(c: Carousel, k: Weight) -> RationalVector:

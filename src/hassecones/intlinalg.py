@@ -1,26 +1,19 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact integer vector helpers and the Bareiss determinant.
 
-Everything here is fraction-free where possible (Bareiss elimination) and
-falls back to fractions.Fraction only for back-substitution.  No floating
-point anywhere in the package.
+The determinant is fraction-free (Bareiss elimination); it is the
+independent certificate for |det M| = prod (p**f - 1), which the library
+otherwise never needs since every solve is done one sigma-orbit at a time.
+No floating point anywhere in the package.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
 def dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
-
-
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_neg(a):
-    return tuple(-x for x in a)
+    """Exact dot product; zero entries of a are skipped, so sparse rows are cheap."""
+    return sum(x * y for x, y in zip(a, b) if x)
 
 
 def content(v) -> int:
@@ -36,14 +29,6 @@ def primitive(v) -> tuple[int, ...]:
     if g <= 1:
         return tuple(v)
     return tuple(x // g for x in v)
-
-
-def mat_vec(rows, v) -> tuple[int, ...]:
-    return tuple(dot(row, v) for row in rows)
-
-
-def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def bareiss_determinant(rows) -> int:
@@ -72,90 +57,3 @@ def bareiss_determinant(rows) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def rank(rows, ncols: int | None = None) -> int:
-    """Rank over the rationals of a list of integer rows."""
-    work = [list(row) for row in rows]
-    if not work:
-        return 0
-    if ncols is None:
-        ncols = len(work[0])
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        pivot = work[r][col]
-        for i in range(r + 1, len(work)):
-            factor = work[i][col]
-            if factor:
-                row = [pivot * a - factor * b for a, b in zip(work[i], work[r])]
-                g = content(row)
-                if g > 1:
-                    row = [a // g for a in row]
-                work[i] = row
-        r += 1
-        if r == len(work):
-            break
-    return r
-
-
-def solve_exact(rows, rhs) -> tuple[Fraction, ...]:
-    """Solve A x = rhs for square nonsingular integer A; exact rational result.
-
-    Bareiss forward elimination on the augmented matrix, then Fraction
-    back-substitution.
-    """
-    n = len(rows)
-    m = [list(row) + [b] for row, b in zip(rows, rhs)]
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    break
-            else:
-                raise ValueError("matrix is singular")
-        for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    if m[n - 1][n - 1] == 0:
-        raise ValueError("matrix is singular")
-    x: list[Fraction] = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = Fraction(m[i][n])
-        for j in range(i + 1, n):
-            acc -= m[i][j] * x[j]
-        x[i] = acc / m[i][i]
-    return tuple(x)
-
-
-def adjugate_with_det(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Integer adjugate and determinant: adj(A) @ A = det(A) * I.
-
-    Columns of the adjugate are det * (solutions of A x = e_i); the scaled
-    entries are provably integral, which is asserted.
-    """
-    n = len(rows)
-    det = bareiss_determinant(rows)
-    if det == 0:
-        raise ValueError("matrix is singular")
-    adj = [[0] * n for _ in range(n)]
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        col = solve_exact(rows, e)
-        for i in range(n):
-            scaled = col[i] * det
-            if scaled.denominator != 1:
-                raise ValueError("adjugate entry not integral; elimination bug")
-            adj[i][j] = int(scaled)
-    return tuple(tuple(row) for row in adj), det

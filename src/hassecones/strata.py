@@ -8,10 +8,14 @@ shifted neighbour, one integer relation row per embedding:
     row_tau = e_tau + s_tau * n_tau * e_{sigma^{-1} tau},
     s_tau = +1 if tau in T else -1.
 
-The quotient of Z^Sigma by the row lattice is computed exactly through a
-Smith normal form with unimodular transforms, giving the order of each
-omega_tau class in the quotient; those orders always divide p**(2f) - 1 for
-the locus's residue degree f.
+The rows are block-diagonal over loci, and each block follows one
+sigma-orbit, so the quotient of Z^Sigma by the row lattice is read off locus
+by locus.  Going once around the orbit of a locus P of residue degree f, the
+relations close up into Z/a_P with a_P = p**f - (-1)**|T cap P|, generated by
+every omega_tau over P; a_P divides p**(2f) - 1.  On the closed stratum only
+the rows for tau in T are forced: a locus inside T still closes up into
+Z/a_P, while any other locus leaves chains whose quotient is free, so its
+omega_tau have infinite order.
 
 The fibre-degree bridge: the relevant projective bundle on the Iwahori side
 has fibre degree p**r k_tau - (p**r / n_tau) k_{sigma^{-1} tau} over the
@@ -26,12 +30,7 @@ from itertools import combinations
 from math import gcd
 
 from .carousel import Carousel, Embedding
-from .errors import (
-    InternalCheckError,
-    InvariantError,
-    MultiplierNotDividing,
-    SingletonOrbit,
-)
+from .errors import InvariantError, MultiplierNotDividing, SingletonOrbit
 from .hasse import Weight, check_weight
 from .reduction import reducible_directions
 
@@ -78,16 +77,20 @@ def closure_set(T: StratumLabel) -> tuple[StratumLabel, ...]:
     return tuple(sorted(out, key=lambda label: label.bitstring()))
 
 
+def _check_stratum(c: Carousel, T: StratumLabel, locus: str) -> None:
+    if T.size != c.d:
+        raise InvariantError(f"stratum has ambient size {T.size}, carousel degree {c.d}")
+    if locus not in ("open", "closed"):
+        raise InvariantError(f"locus must be 'open' or 'closed', got {locus!r}")
+
+
 def picard_relations(c: Carousel, T: StratumLabel, locus: str = "open") -> tuple[tuple[int, ...], ...]:
     """Integer relation rows among the omega_tau on the stratum labelled T.
 
     locus="open": one row per embedding, sign +n_tau for tau in T and -n_tau
     otherwise.  locus="closed": only the rows for tau in T are forced.
     """
-    if T.size != c.d:
-        raise InvariantError(f"stratum has ambient size {T.size}, carousel degree {c.d}")
-    if locus not in ("open", "closed"):
-        raise InvariantError(f"locus must be 'open' or 'closed', got {locus!r}")
+    _check_stratum(c, T, locus)
     rows = []
     for j in range(c.d):
         if locus == "closed" and j not in T.members:
@@ -98,115 +101,6 @@ def picard_relations(c: Carousel, T: StratumLabel, locus: str = "open") -> tuple
         row[c.sigma_inv_table[j]] += sign * c.n_table[j]
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def smith_normal_form(rows) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Smith normal form with transforms: returns (U, D, V) with U A V = D.
-
-    U and V are unimodular; D is diagonal with nonnegative entries and each
-    diagonal entry divides the next.  Pivot selection takes the smallest
-    nonzero absolute value in the working submatrix.
-    """
-    A = [list(row) for row in rows]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        # row dst += q * row src
-        A[dst] = [a + q * b for a, b in zip(A[dst], A[src])]
-        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
-
-    def add_col(dst, src, q):
-        for row in A:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        A[i] = [-a for a in A[i]]
-        U[i] = [-a for a in U[i]]
-
-    t = 0
-    while t < min(m, n):
-        # Move the smallest nonzero entry of the submatrix to the pivot seat.
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(A[i][j])
-                if v and (best is None or v < best[0]):
-                    best = (v, i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != t:
-            swap_rows(t, bi)
-        if bj != t:
-            swap_cols(t, bj)
-        while True:
-            if A[t][t] < 0:
-                negate_row(t)
-            pivot = A[t][t]
-            dirty = False
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    add_row(i, t, -(A[i][t] // pivot))
-                    if A[i][t]:
-                        dirty = True
-            if dirty:
-                # A strictly smaller residue appeared below; promote it.
-                bi = min(
-                    (i for i in range(t + 1, m) if A[i][t]),
-                    key=lambda i: abs(A[i][t]),
-                )
-                swap_rows(t, bi)
-                continue
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    add_col(j, t, -(A[t][j] // pivot))
-                    if A[t][j]:
-                        dirty = True
-            if dirty:
-                bj = min(
-                    (j for j in range(t + 1, n) if A[t][j]),
-                    key=lambda j: abs(A[t][j]),
-                )
-                swap_cols(t, bj)
-                continue
-            # Row and column are clean; enforce divisibility of the rest.
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if A[i][j] % pivot:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(t, offender, 1)
-        t += 1
-    for i in range(min(m, n)):
-        if A[i][i] < 0:
-            negate_row(i)
-    return U, A, V
-
-
-def invariant_factors(rows) -> tuple[int, ...]:
-    _, D, _ = smith_normal_form(rows)
-    size = min(len(D), len(D[0]) if D else 0)
-    return tuple(D[i][i] for i in range(size))
 
 
 @dataclass(frozen=True)
@@ -235,52 +129,45 @@ class PicardSummary:
         return out
 
 
-def _element_order(moduli, coords) -> int:
-    order = 1
-    for modulus, v in zip(moduli, coords):
-        if modulus == 0:
-            if v != 0:
-                return 0
-            continue
-        if modulus == 1:
-            continue
-        step = modulus // gcd(modulus, v % modulus)
-        order = order * step // gcd(order, step)
-    return order
+def _divisor_chain(moduli) -> list[int]:
+    """Invariant factors of diag(moduli): pairwise (gcd, lcm) until each divides the next."""
+    out = list(moduli)
+    for i in range(len(out)):
+        for j in range(i + 1, len(out)):
+            g = gcd(out[i], out[j])
+            out[i], out[j] = g, out[i] // g * out[j]
+    return out
 
 
 def torsion_summary(c: Carousel, T: StratumLabel, locus: str = "open") -> PicardSummary:
     """Invariant factors and per-embedding torsion orders for a stratum.
 
-    The order of omega_tau is read off the Smith transform: with U A V = D,
-    the class of e_tau in the quotient is row tau of V expressed against the
-    moduli on the diagonal of D (missing rows of D contribute free factors).
-    Orders for embeddings of a locus whose block of relations is complete are
-    checked against the divisor bound p**(2f) - 1.
+    Locus by locus (see the module docstring): a locus whose relations close
+    up contributes Z/a_P, |P| - 1 invariant factors 1, and order a_P for each
+    of its omega_tau; any other locus (closed stratum only) contributes one
+    invariant factor 1 per forced row and infinite order (0).  The cyclic
+    parts combine into invariant factors by the gcd/lcm normal form.
     """
-    rows = picard_relations(c, T, locus)
-    d = c.d
-    if not rows:
-        return PicardSummary(T, locus, (), tuple(0 for _ in range(d)))
-    _, D, V = smith_normal_form(rows)
-    facs = tuple(D[i][i] for i in range(min(len(D), d)))
-    moduli = list(facs) + [0] * (d - len(facs))
-    orders = tuple(_element_order(moduli, V[tau]) for tau in range(d))
-
+    _check_stratum(c, T, locus)
     p = c.profile.p
-    offset = 0
+    ones = 0
+    cyclic = []
+    orders = [0] * c.d
+    start = 0
     for locus_data in c.profile.loci:
-        span = range(offset, offset + locus_data.degree)
-        complete = locus == "open" or all(j in T.members for j in span)
-        if complete:
-            bound = p ** (2 * locus_data.f) - 1
-            for j in span:
-                if orders[j] == 0 or bound % orders[j]:
-                    raise InternalCheckError(
-                        f"torsion order {orders[j]} at index {j} does not divide p^2f-1 = {bound}"
-                    )
-        offset += locus_data.degree
-    return PicardSummary(T, locus, facs, orders)
+        span = range(start, start + locus_data.degree)
+        start += locus_data.degree
+        hits = sum(1 for j in span if j in T.members)
+        if locus == "closed" and hits < len(span):
+            ones += hits
+            continue
+        a = p**locus_data.f - (-1) ** hits
+        ones += len(span) - 1
+        cyclic.append(a)
+        for j in span:
+            orders[j] = a
+    facs = (1,) * ones + tuple(_divisor_chain(cyclic))
+    return PicardSummary(T, locus, facs, tuple(orders))
 
 
 def fibre_degree(c: Carousel, k: Weight, tau0: Embedding, r: int) -> int:

@@ -5,10 +5,12 @@ import io
 import json
 import subprocess
 import sys
+from time import perf_counter
 
-from hassecones import SplittingProfile
+from hassecones import SplittingProfile, gfpoly
 from hassecones.cli import main, render, run
 from hassecones.profile import profile_from_data
+from hassecones.selftest import MAX_PANEL_DEGREE
 
 from helpers import profile_of
 
@@ -187,6 +189,7 @@ def test_usage_errors_exit_2():
         ["reduce", "--profile", "not json", "--weight", "[0,1]"],
         ["reduce", "--profile", RAMIFIED, "--weight", "[0,1,2]"],  # wrong length
         ["picard", "--profile", RAMIFIED, "--stratum", "101"],  # wrong length
+        ["picard", "--profile", RAMIFIED, "--stratum", "1x"],  # not a bitstring
         ["bridge", "--profile", SPLIT, "--weight", "[1,1]", "--tau", "0", "--r", "1"],  # singleton
         ["bridge", "--profile", RAMIFIED, "--weight", "[1,1]", "--tau", "0", "--r", "0"],  # n does not divide
         ["profile", "--profile", RAMIFIED, "--minpoly", "[1,0,1]", "--p", "5"],  # both inputs
@@ -229,11 +232,56 @@ def test_selftest_empty_panel_is_vacuous(capsys):
     assert "vacuous" in capsys.readouterr().err
 
 
+def test_selftest_panel_refuses_degree_above_cap():
+    assert MAX_PANEL_DEGREE == 7
+    panel = json.dumps([{"p": 2, "loci": [{"e": 2, "f": 1}]}, {"p": 3, "loci": [{"e": 1, "f": 8}]}])
+    start = perf_counter()
+    report, code = run(["selftest", "--panel", panel])
+    assert perf_counter() - start < 1.0
+    assert code == 2
+    assert report["error"]["type"] == "DimensionTooLarge"
+    message = report["error"]["message"]
+    assert "degree 8" in message and "d <= 7" in message
+
+
 def test_selftest_custom_panel():
     panel = json.dumps([{"p": 2, "loci": [{"e": 2, "f": 1}]}])
     report, code = run(["selftest", "--panel", panel])
     assert code == 0
     assert report["payload"]["panel_size"] == 1
+
+
+def test_minpoly_commands_factor_once(monkeypatch):
+    # every factor_mod_p call, however it is imported, starts with exactly one
+    # squarefree decomposition looked up in the gfpoly namespace
+    calls = []
+    original = gfpoly.squarefree_decomposition
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gfpoly, "squarefree_decomposition", counting)
+    payload = _payload(["profile", "--minpoly=-1,-1,1", "--p", "5"])
+    assert payload["mod_p_factorization"] == [{"coefficients": [2, 1], "multiplicity": 2}]
+    assert len(calls) == 1
+    _payload(["reduce", "--minpoly=1,1,1", "--p", "2", "--weight", "4,1"])
+    assert len(calls) == 2
+
+
+def test_cones_beyond_degree_16():
+    # double description used to refuse d > 16; the closed forms have no cap
+    for p, pairs in ((2, [(1, 17)]), (3, [(1, 64)]), (2**61 - 1, [(1, 16), (2, 8), (4, 4), (1, 8)] + [(1, 1)] * 8)):
+        payload = _payload(["cones", "--profile", json.dumps(profile_of(p, pairs).as_dict())])
+        d = sum(e * f for e, f in pairs)
+        assert payload["determinant"] in (payload["hasse_lattice_index"], -payload["hasse_lattice_index"])
+        assert payload["chain"] == {"min_in_std": True, "std_in_hasse": True}
+        assert payload["split"] == {"totally_split": False, "cones_equal": False}
+        for cone in (payload["min_cone"], payload["hasse_cone"]):
+            assert len(cone["rays"]) == len(cone["normals"]) == d
+            for normal in cone["normals"]:
+                for ray in cone["rays"]:
+                    assert sum(a * r for a, r in zip(normal, ray) if a) >= 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Cone construction, double-description conversion, and certified membership.
+"""Cone construction, closed-form rays and normals, and certified membership.
 
-The double-description output is audited two independent ways: sampled
-nonnegative combinations of the computed rays must satisfy every input
-inequality, and membership decided through the H-representation must agree
-with the exact Farkas check on the V-representation.
+The library writes the rays of C^min and the normals of C^Hasse down in
+closed form.  Double description and the Farkas simplex, kept in
+tests/oracles.py, are the independent reference: the closed forms must equal
+their output, and their own audits still run here (sampled nonnegative
+combinations of the computed rays satisfy every input inequality, and
+membership through the H-representation agrees with the exact Farkas check
+on the V-representation).
 """
 
 import random
@@ -15,16 +18,15 @@ from hassecones import (
     DimensionMismatch,
     DimensionTooLarge,
     HRepCone,
+    InternalCheckError,
     InvariantError,
+    SimplicialCone,
     VRepCone,
     Weight,
     build_carousel,
     cone_equal,
     cone_subset,
     contains,
-    dd_h_to_v,
-    dd_v_to_h,
-    farkas_membership,
     hasse_cone,
     hasse_contains,
     hasse_coordinates,
@@ -34,6 +36,7 @@ from hassecones import (
 )
 
 from helpers import carousel_of, exhaustive_profiles, panel_carousels, weight_box
+import oracles
 
 
 def test_min_cone_rows_worked_example():
@@ -65,62 +68,95 @@ def test_hasse_cone_rays_worked_examples():
 
 
 def test_dd_worked_example_min_cone():
-    cone = dd_h_to_v(min_cone(carousel_of(2, [(2, 1)])))
+    cone = oracles.dd_h_to_v(min_cone(carousel_of(2, [(2, 1)])))
     assert cone.rays == ((1, 1), (1, 2))
+    assert min_cone(carousel_of(2, [(2, 1)])).rays == cone.rays
 
 
 def test_dd_worked_example_orthant():
-    cone = dd_h_to_v(std_cone(carousel_of(3, [(1, 1), (1, 1)])))
+    cone = oracles.dd_h_to_v(std_cone(carousel_of(3, [(1, 1), (1, 1)])))
     assert cone.rays == ((0, 1), (1, 0))
 
 
 def test_dd_worked_example_hasse_dual():
-    cone = dd_v_to_h(hasse_cone(carousel_of(2, [(2, 1)])))
+    cone = oracles.dd_v_to_h(hasse_cone(carousel_of(2, [(2, 1)])))
     assert cone.normals == ((1, 1), (2, 1))
+    assert hasse_cone(carousel_of(2, [(2, 1)])).normals == cone.normals
 
 
 def test_dd_round_trips_on_panel():
     for c in panel_carousels():
         for cone in (min_cone(c), std_cone(c)):
-            again = dd_v_to_h(dd_h_to_v(cone))
+            again = oracles.dd_v_to_h(oracles.dd_h_to_v(cone))
             assert again.normals == cone.normals, c.profile
         rays = hasse_cone(c)
-        assert dd_h_to_v(dd_v_to_h(rays)).rays == rays.rays, c.profile
+        assert oracles.dd_h_to_v(oracles.dd_v_to_h(rays)).rays == rays.rays, c.profile
 
 
 def test_dd_halfspace_has_lineality():
     half = HRepCone.from_rows([(1, 0, 0)], dim=3)
-    rays = dd_h_to_v(half).rays
+    rays = oracles.dd_h_to_v(half).rays
     assert set(rays) == {(1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)}
-    assert dd_v_to_h(dd_h_to_v(half)).normals == ((1, 0, 0),)
+    assert oracles.dd_v_to_h(oracles.dd_h_to_v(half)).normals == ((1, 0, 0),)
 
 
 def test_dd_no_constraints_is_whole_space():
-    everything = dd_h_to_v(HRepCone(2, ()))
+    everything = oracles.dd_h_to_v(HRepCone(2, ()))
     assert set(everything.rays) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
 
 
 def test_dd_zero_cone():
     # the cone generated by nothing is the origin; its H-form pins every axis
-    origin = dd_v_to_h(VRepCone(2, ()))
-    got = dd_h_to_v(origin)
+    origin = oracles.dd_v_to_h(VRepCone(2, ()))
+    got = oracles.dd_h_to_v(origin)
     assert got.rays == ()
 
 
 def test_dd_drops_redundant_rows():
     # x >= 0, y >= 0, x + y >= 0: the last row is implied
     cone = HRepCone.from_rows([(1, 0), (0, 1), (1, 1)], dim=2)
-    assert dd_h_to_v(cone).rays == ((0, 1), (1, 0))
-    assert dd_v_to_h(dd_h_to_v(cone)).normals == ((0, 1), (1, 0))
+    assert oracles.dd_h_to_v(cone).rays == ((0, 1), (1, 0))
+    assert oracles.dd_v_to_h(oracles.dd_h_to_v(cone)).normals == ((0, 1), (1, 0))
 
 
 def test_dimension_cap_applies_to_dd_only():
     rows = [tuple(1 if i == j else 0 for j in range(17)) for i in range(17)]
     big = HRepCone.from_rows(rows, dim=17)
     with pytest.raises(DimensionTooLarge):
-        dd_h_to_v(big)
+        oracles.dd_h_to_v(big)
     # membership through the H-representation has no cap
     assert contains(big, tuple(1 for _ in range(17))).member
+
+
+def test_closed_forms_equal_dd_oracle_exhaustive():
+    # the C^min rays and C^Hasse normals, order included, are what double
+    # description computes from the other representation
+    for profile in exhaustive_profiles((2, 3, 5), dmax=8):
+        c = build_carousel(profile)
+        lower, upper = min_cone(c), hasse_cone(c)
+        assert lower.rays == oracles.dd_h_to_v(HRepCone(c.d, lower.normals)).rays, profile
+        assert upper.normals == oracles.dd_v_to_h(VRepCone(c.d, upper.rays)).normals, profile
+
+
+def test_simplicial_cone_checks_its_pairing():
+    with pytest.raises(InternalCheckError):
+        SimplicialCone.from_rows([(1, 0), (0, 1)], [(1, 1), (0, 1)], dim=2)
+    with pytest.raises(InternalCheckError):
+        SimplicialCone.from_rows([(1, 0), (0, 1)], [(1, 0)], dim=2)
+    # each normal is positive on one ray only, but all three pick the same ray
+    with pytest.raises(InternalCheckError):
+        SimplicialCone.from_rows([(1, 0, 0), (-1, 0, 0), (0, 1, 0)], [(0, 1, 0), (0, 1, 1), (0, 1, -1)], dim=3)
+    cone = SimplicialCone.from_rows([(1, 1), (1, 2)], [(2, -1), (-1, 1)], dim=2)
+    assert cone.normals == ((-1, 1), (2, -1))
+
+
+def test_membership_needs_normals():
+    # a bare V-representation has no membership test in the library; the
+    # Farkas simplex that decided it lives on as a test oracle
+    with pytest.raises(TypeError):
+        contains(VRepCone(2, ((1, 0), (0, 1))), (1, 1))
+    with pytest.raises(TypeError):
+        cone_subset(HRepCone(2, ((1, 0),)), HRepCone(2, ((1, 0),)))
 
 
 def test_normals_validation():
@@ -139,11 +175,11 @@ def test_rows_are_deduplicated_under_positive_scaling():
 
 def test_farkas_certificates_are_checkable():
     rays = ((1, 0), (0, 1))
-    ok, lam = farkas_membership(rays, (Fraction(2), Fraction(3)))
+    ok, lam = oracles.farkas_membership(rays, (Fraction(2), Fraction(3)))
     assert ok
     assert lam == (Fraction(2), Fraction(3))
 
-    ok, z = farkas_membership(rays, (Fraction(-1), Fraction(-1)))
+    ok, z = oracles.farkas_membership(rays, (Fraction(-1), Fraction(-1)))
     assert not ok
     assert sum(zi * xi for zi, xi in zip(z, (-1, -1))) < 0
     for ray in rays:
@@ -153,9 +189,9 @@ def test_farkas_certificates_are_checkable():
 def test_farkas_on_lower_dimensional_cone():
     # x is in the span direction but with a negative coefficient
     rays = ((1, 1),)
-    ok, witness = farkas_membership(rays, (Fraction(-2), Fraction(-2)))
+    ok, witness = oracles.farkas_membership(rays, (Fraction(-2), Fraction(-2)))
     assert not ok
-    ok, lam = farkas_membership(rays, (Fraction(2), Fraction(2)))
+    ok, lam = oracles.farkas_membership(rays, (Fraction(2), Fraction(2)))
     assert ok and lam == (Fraction(2),)
 
 
@@ -180,14 +216,16 @@ def test_hasse_contains_worked_examples():
 def test_membership_routes_agree_on_random_points():
     rng = random.Random(51)
     for c in panel_carousels():
-        cone_v = hasse_cone(c)
-        cone_h = dd_v_to_h(cone_v)
+        cone = hasse_cone(c)
+        cone_v = VRepCone(c.d, cone.rays)
+        cone_h = oracles.dd_v_to_h(cone_v)
         for _ in range(170):
             x = tuple(rng.randint(-6, 6) for _ in range(c.d))
             via_coords = hasse_contains(c, Weight(x)).member
-            via_farkas = contains(cone_v, x).member
+            via_farkas = oracles.contains(cone_v, x).member
             via_rows = contains(cone_h, x).member
-            assert via_coords == via_farkas == via_rows, (c.profile, x)
+            via_closed_form = contains(cone, x).member
+            assert via_coords == via_farkas == via_rows == via_closed_form, (c.profile, x)
 
 
 def test_dd_soundness_on_random_cones():
@@ -201,7 +239,7 @@ def test_dd_soundness_on_random_cones():
             if any(candidate):
                 rows.append(candidate)
         cone = HRepCone.from_rows(rows, dim=dim)
-        rays = dd_h_to_v(cone).rays
+        rays = oracles.dd_h_to_v(cone).rays
         # every ray satisfies every inequality
         for ray in rays:
             for row in cone.normals:
@@ -216,7 +254,7 @@ def test_dd_soundness_on_random_cones():
         # H-rep and V-rep membership verdicts agree on random points
         for _ in range(10):
             x = tuple(rng.randint(-4, 4) for _ in range(dim))
-            assert contains(cone, x).member == contains(VRepCone(dim, rays), x).member
+            assert contains(cone, x).member == oracles.contains(VRepCone(dim, rays), x).member
 
 
 def test_dd_round_trip_is_the_same_cone():
@@ -229,10 +267,10 @@ def test_dd_round_trip_is_the_same_cone():
             if any(candidate):
                 rows.append(candidate)
         cone = HRepCone.from_rows(rows, dim=dim)
-        back = dd_v_to_h(dd_h_to_v(cone))
-        as_rays = dd_h_to_v(cone)
-        assert cone_equal(cone, back)
-        assert cone_equal(cone, as_rays)
+        back = oracles.dd_v_to_h(oracles.dd_h_to_v(cone))
+        as_rays = oracles.dd_h_to_v(cone)
+        assert oracles.cone_equal(cone, back)
+        assert oracles.cone_equal(cone, as_rays)
 
 
 def test_cone_subset_worked_examples():

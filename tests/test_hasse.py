@@ -3,11 +3,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hassecones import (
     DimensionMismatch,
     Embedding,
+    SchemaError,
     Weight,
     build_carousel,
     hasse_coordinates,
@@ -16,7 +18,7 @@ from hassecones import (
     hasse_weight,
 )
 from hassecones.hasse import check_weight, coordinates_scaled
-from hassecones.intlinalg import bareiss_determinant, solve_exact
+from hassecones.intlinalg import bareiss_determinant
 
 from helpers import (
     carousel_of,
@@ -25,6 +27,9 @@ from helpers import (
     profile_of,
     random_profile,
 )
+import oracles
+
+MERSENNE_61 = 2**61 - 1
 
 
 def test_hasse_weight_worked_examples():
@@ -114,17 +119,57 @@ def test_coordinate_denominators_divide_lattice_index():
 
 
 def test_three_solver_routes_agree():
-    # cached adjugate solve, direct Bareiss solve, and the test-local
-    # Fraction elimination must produce the same coordinates
+    # the orbit closed form, the cached adjugate solve and direct Bareiss
+    # solve of the oracle module, and the test-local Fraction elimination
+    # must produce the same coordinates
     rng = random.Random(44)
     for _ in range(30):
         profile = random_profile(rng, (2, 3, 5), dmax=7)
         c = build_carousel(profile)
         k = Weight(tuple(rng.randint(-30, 30) for _ in range(c.d)))
-        via_cache = hasse_coordinates(c, k).entries
-        via_solve = solve_exact([list(row) for row in hasse_matrix(c).rows], list(k))
+        via_orbits = hasse_coordinates(c, k).entries
+        nums, den = oracles.coordinates_scaled(c, k)
+        via_adjugate = tuple(Fraction(num, den) for num in nums)
+        via_solve = oracles.solve_exact([list(row) for row in hasse_matrix(c).rows], list(k))
         via_oracle = oracle_coordinates(c, k)
-        assert via_cache == tuple(via_solve) == via_oracle
+        assert via_orbits == via_adjugate == tuple(via_solve) == via_oracle
+
+
+def test_scaled_coordinates_equal_adjugate_oracle_exhaustive():
+    # numerators and denominator, not only the fractions they make
+    rng = random.Random(45)
+    for profile in exhaustive_profiles((2, 3, 5, 7), dmax=6):
+        c = build_carousel(profile)
+        for _ in range(3):
+            k = Weight(tuple(rng.randint(-50, 50) for _ in range(c.d)))
+            assert coordinates_scaled(c, k) == oracles.coordinates_scaled(c, k), (profile, k)
+
+
+def _assert_solves(c, k, y):
+    for i, row in enumerate(hasse_matrix(c).rows):
+        assert sum(a * v for a, v in zip(row, y) if a) == k[i], (c.profile, i)
+
+
+def test_coordinates_on_random_profiles_up_to_degree_16():
+    rng = random.Random(46)
+    for _ in range(25):
+        profile = random_profile(rng, (2, 3, 5, 7, 101, MERSENNE_61), dmax=16, dmin=9)
+        c = build_carousel(profile)
+        k = Weight(tuple(rng.randint(-(10**6), 10**6) for _ in range(c.d)))
+        y = hasse_coordinates(c, k).entries
+        _assert_solves(c, k, y)
+        assert y == oracle_coordinates(c, k), profile
+
+
+def test_coordinates_at_degree_64_over_a_large_prime():
+    rng = random.Random(47)
+    mixed = [(1, 16), (2, 8), (4, 4), (1, 8)] + [(1, 1)] * 8
+    for pairs in ([(1, 64)], [(64, 1)], [(1, 1)] * 64, mixed):
+        c = carousel_of(MERSENNE_61, pairs)
+        k = Weight(tuple(rng.randint(-(10**18), 10**18) for _ in range(64)))
+        y = hasse_coordinates(c, k).entries
+        _assert_solves(c, k, y)
+        assert all(hasse_lattice_index(c.profile) % v.denominator == 0 for v in y)
 
 
 def test_scaled_coordinates_have_positive_denominator():
@@ -143,6 +188,17 @@ def test_weight_algebra():
     assert a[1] == 2
     assert list(a) == [1, 2]
     assert a == Weight([1, 2])
+
+
+def test_weight_rejects_non_integers():
+    # int() used to truncate 1.5 and parse "7" without a word
+    for bad in ((1.5, 2), ("7", 2), (1.5, "7", True), (Fraction(1, 2), 0), (None, 1)):
+        with pytest.raises(SchemaError):
+            Weight(bad)
+    # anything with __index__ is an integer, and is stored as a plain int
+    k = Weight((np.int64(3), 2))
+    assert k.coords == (3, 2)
+    assert type(k.coords[0]) is int
 
 
 def test_check_weight_rejects_wrong_length():

@@ -1,4 +1,8 @@
-"""Stratum labels, relation lattices, Smith normal form, torsion, fibres."""
+"""Stratum labels, relation lattices, torsion, fibres.
+
+The Smith normal form is no longer library code; its tests run against the
+copy in tests/oracles.py, which is the reference for the closed-form torsion.
+"""
 
 import random
 from itertools import combinations
@@ -15,10 +19,8 @@ from hassecones import (
     build_carousel,
     closure_set,
     fibre_degree,
-    invariant_factors,
     picard_relations,
     reducible_directions,
-    smith_normal_form,
     stratum_dimension,
     theorem_bridge,
     torsion_summary,
@@ -32,6 +34,10 @@ from helpers import (
     profile_of,
     weight_box,
 )
+import oracles
+from oracles import invariant_factors, smith_normal_form
+
+MERSENNE_61 = 2**61 - 1
 
 
 def _all_strata(d):
@@ -226,6 +232,33 @@ def test_single_locus_group_order_formula():
                 assert summary.group_order == expected, (p, e, f, label.bitstring())
                 rows = picard_relations(c, label, locus="open")
                 assert abs(fraction_determinant([list(r) for r in rows])) == expected
+
+
+def test_torsion_matches_snf_oracle_on_every_stratum():
+    # invariant factors and every torsion order, open and closed, d <= 7
+    for profile in exhaustive_profiles((2, 3, 5), dmax=7):
+        c = build_carousel(profile)
+        for label in _all_strata(c.d):
+            for locus in ("open", "closed"):
+                got = torsion_summary(c, label, locus)
+                assert got == oracles.torsion_summary(c, label, locus), (profile, label.bitstring(), locus)
+
+
+def test_torsion_closed_form_at_degree_64():
+    p = MERSENNE_61
+    c = carousel_of(p, [(1, 32), (2, 16)])
+    first = frozenset(range(0, 32, 2))  # 16 hits: a = p**32 - 1
+    second = frozenset(range(32, 35))  # 3 hits: a = p**16 + 1
+    label = StratumLabel(64, first | second)
+    a, b = p**32 - 1, p**16 + 1
+    summary = torsion_summary(c, label)
+    assert summary.torsion_orders == (a,) * 32 + (b,) * 32
+    # p**16 + 1 divides p**32 - 1, so the two cyclic parts stay apart
+    assert summary.invariant_factors == (1,) * 62 + (b, a)
+    assert summary.group_order == a * b
+    closed = torsion_summary(c, label, locus="closed")
+    assert closed.torsion_orders == (0,) * 64
+    assert closed.invariant_factors == (1,) * 19
 
 
 def test_order_of_identity_relations():
