@@ -58,7 +58,6 @@ from .hasse import (
 )
 from .profile import PrimeLocus, SplittingProfile, is_prime, parse_profile
 from .reduction import (
-    BudgetExceeded,
     Decomposition,
     InMinCone,
     ReductionOutcome,

@@ -1,14 +1,16 @@
 """Command-line front end: structured JSON reports over the library.
 
-One report per invocation on stdout; human diagnostics on stderr.  Reports
-are byte-deterministic for a fixed argv and seed.  Exit codes: 0 success,
-2 usage/schema error, 3 invariant violation (including Dedekind rejection),
-4 internal check failure.
+One report per invocation on stdout; human diagnostics, including the
+`--help` text, on stderr.  Reports are byte-deterministic for a fixed argv
+and seed.  Exit codes: 0 success, 2 usage/schema error, 3 invariant violation
+(including Dedekind rejection), 4 internal check failure.  A failed command
+exits with the `exit_status` of the HasseConesError it raised.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import itertools
@@ -23,51 +25,25 @@ from .cones import (
     hasse_cone,
     hasse_contains,
     min_cone,
-    split_equality_report,
     std_cone,
 )
-from .errors import (
-    DimensionMismatch,
-    DimensionTooLarge,
-    ForeignEmbedding,
-    HasseConesError,
-    InternalCheckError,
-    InvariantError,
-    MultiplierNotDividing,
-    NotPMaximal,
-    NotReducible,
-    SchemaError,
-    SingletonOrbit,
-)
+from .errors import HasseConesError, InternalCheckError, InvariantError
 from .gfpoly import MinPolySpec, ModPFactorization, _profile_and_factorization
 from .hasse import Weight, hasse_coordinates, hasse_lattice_index, hasse_matrix
 from .intlinalg import bareiss_determinant
 from .profile import SplittingProfile, parse_profile, profile_from_data
-from .reduction import (
-    BudgetExceeded,
-    InMinCone,
-    Vanishing,
-    greedy_reduce,
-    reducible_directions,
-)
+from .reduction import InMinCone, greedy_reduce, reducible_directions
 from .strata import StratumLabel, fibre_degree, stratum_dimension, theorem_bridge, torsion_summary
 
 SCHEMA_VERSION = "1"
 MAX_SWEEP_DEGREE = 12
-
-USAGE_ERRORS = (
-    SchemaError,
-    ForeignEmbedding,
-    DimensionMismatch,
-    DimensionTooLarge,
-    NotReducible,
-    SingletonOrbit,
-    MultiplierNotDividing,
-)
+# p**r is exact, so its size grows with r without bound: at r = 10,000 the
+# fibre degree already has more digits than CPython will print.
+MAX_BRIDGE_POWER = 64
 
 
 class UsageError(HasseConesError):
-    """Flag-level misuse detected by the CLI itself."""
+    """Flag-level misuse detected by the CLI itself (exit status 2)."""
 
 
 def _frac(value: Fraction) -> str:
@@ -76,19 +52,19 @@ def _frac(value: Fraction) -> str:
 
 def _load_profile(args) -> tuple[SplittingProfile, ModPFactorization | None]:
     """The profile, with the mod-p factorization it was read from under --minpoly."""
-    if getattr(args, "profile", None) and getattr(args, "minpoly", None):
+    if args.profile and args.minpoly:
         raise UsageError("pass either --profile or --minpoly/--p, not both")
-    if getattr(args, "profile", None):
+    if args.profile:
         text = args.profile
         if text.startswith("@"):
             try:
                 with open(text[1:], "r", encoding="utf-8") as handle:
                     text = handle.read()
-            except OSError as exc:
+            except (OSError, ValueError) as exc:
                 raise UsageError(f"cannot read profile file {text[1:]!r}: {exc}") from exc
         return parse_profile(text), None
-    if getattr(args, "minpoly", None):
-        if getattr(args, "p", None) is None:
+    if args.minpoly:
+        if args.p is None:
             raise UsageError("--minpoly requires --p")
         coeffs = _parse_int_list(args.minpoly, "--minpoly")
         return _profile_and_factorization(MinPolySpec(tuple(coeffs), args.p), seed=args.seed)
@@ -100,7 +76,7 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     if raw.startswith("["):
         try:
             data = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise UsageError(f"{flag} is not a valid JSON array: {exc}") from exc
         if not isinstance(data, list) or not all(isinstance(v, int) and not isinstance(v, bool) for v in data):
             raise UsageError(f"{flag} must be an array of integers")
@@ -111,8 +87,9 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise UsageError(f"{flag} must be a JSON array or comma-separated integers") from exc
 
 
-def _profile_payload(profile: SplittingProfile, c) -> dict:
-    return {
+def _cmd_profile(args, c, fact) -> dict:
+    profile = c.profile
+    payload = {
         "profile": profile.as_dict(),
         "degree": profile.degree,
         "embeddings": [tau.label() for tau in c.embeddings],
@@ -121,12 +98,6 @@ def _profile_payload(profile: SplittingProfile, c) -> dict:
         "totally_split": profile.is_totally_split(),
         "hasse_lattice_index": hasse_lattice_index(profile),
     }
-
-
-def _cmd_profile(args) -> dict:
-    profile, fact = _load_profile(args)
-    c = build_carousel(profile)
-    payload = _profile_payload(profile, c)
     if fact is not None:
         payload["mod_p_factorization"] = [
             {"coefficients": list(poly), "multiplicity": mult} for poly, mult in fact.factors
@@ -134,9 +105,8 @@ def _cmd_profile(args) -> dict:
     return payload
 
 
-def _cmd_cones(args) -> dict:
-    profile, _ = _load_profile(args)
-    c = build_carousel(profile)
+def _cmd_cones(args, c, fact) -> dict:
+    profile = c.profile
     cone_min = min_cone(c)
     cone_std = std_cone(c)
     cone_hasse = hasse_cone(c)
@@ -145,8 +115,11 @@ def _cmd_cones(args) -> dict:
     expected = hasse_lattice_index(profile)
     if abs(det) != expected:
         raise InternalCheckError(f"determinant {det} does not match the locus product {expected}")
-    report = split_equality_report(c)
-    if not report.consistent:
+    # Both cones are in canonical form (primitive, sorted rays and normals,
+    # pairing verified), so dataclass equality is equality of the cones.
+    totally_split = profile.is_totally_split()
+    cones_equal = cone_min == cone_hasse
+    if totally_split != cones_equal:
         raise InternalCheckError("split criterion and cone equality disagree")
     chain_low = cone_subset(cone_min, cone_std)
     chain_high = cone_subset(cone_std, cone_hasse)
@@ -167,13 +140,11 @@ def _cmd_cones(args) -> dict:
         "determinant": det,
         "hasse_lattice_index": expected,
         "chain": {"min_in_std": bool(chain_low), "std_in_hasse": bool(chain_high)},
-        "split": {"totally_split": report.is_totally_split, "cones_equal": report.cones_equal},
+        "split": {"totally_split": totally_split, "cones_equal": cones_equal},
     }
 
 
-def _cmd_reduce(args) -> dict:
-    profile, _ = _load_profile(args)
-    c = build_carousel(profile)
+def _cmd_reduce(args, c, fact) -> dict:
     if args.weight is None:
         raise UsageError("reduce requires --weight")
     coords = _parse_int_list(args.weight, "--weight")
@@ -182,7 +153,7 @@ def _cmd_reduce(args) -> dict:
     membership = hasse_contains(c, k)
     outcome = greedy_reduce(c, k)
     payload: dict = {
-        "profile": profile.as_dict(),
+        "profile": c.profile.as_dict(),
         "weight": list(k.coords),
         "hasse_coordinates": [_frac(v) for v in coords_exact],
         "in_hasse_cone": membership.member,
@@ -195,19 +166,13 @@ def _cmd_reduce(args) -> dict:
             "a": list(outcome.decomposition.a),
             "steps": [c.embeddings[j].label() for j in outcome.steps],
         }
-    elif isinstance(outcome, Vanishing):
+    else:
         payload["outcome"] = {
             "kind": "vanishing",
             "tau": c.embeddings[outcome.tau].label(),
             "coordinate": _frac(outcome.coordinate),
             "weight_at_detection": list(outcome.weight.coords),
             "steps": [c.embeddings[j].label() for j in outcome.steps],
-        }
-    else:
-        assert isinstance(outcome, BudgetExceeded)
-        payload["outcome"] = {
-            "kind": "budget_exceeded",
-            "steps": [c.embeddings[j].label() for j in outcome.trace],
         }
     return payload
 
@@ -231,9 +196,8 @@ def _stratum_row(c, label: StratumLabel) -> dict:
     }
 
 
-def _cmd_picard(args) -> dict:
-    profile, _ = _load_profile(args)
-    c = build_carousel(profile)
+def _cmd_picard(args, c, fact) -> dict:
+    profile = c.profile
     if args.stratum is not None:
         try:
             label = StratumLabel.from_bitstring(args.stratum)
@@ -252,15 +216,15 @@ def _cmd_picard(args) -> dict:
     return {"profile": profile.as_dict(), "strata": rows}
 
 
-def _cmd_bridge(args) -> dict:
-    profile, _ = _load_profile(args)
-    c = build_carousel(profile)
+def _cmd_bridge(args, c, fact) -> dict:
     if args.weight is None:
         raise UsageError("bridge requires --weight")
     if args.tau is None:
         raise UsageError("bridge requires --tau (canonical embedding index)")
     if args.r is None:
         raise UsageError("bridge requires --r")
+    if args.r > MAX_BRIDGE_POWER:
+        raise UsageError(f"--r is {args.r}; the power of p is capped at r <= {MAX_BRIDGE_POWER}")
     k = Weight(tuple(_parse_int_list(args.weight, "--weight")))
     if not (0 <= args.tau < c.d):
         raise UsageError(f"--tau must be in [0, {c.d})")
@@ -271,7 +235,7 @@ def _cmd_bridge(args) -> dict:
     if bridge != reducible:
         raise InternalCheckError("fibre-degree sign disagrees with reducibility")
     return {
-        "profile": profile.as_dict(),
+        "profile": c.profile.as_dict(),
         "weight": list(k.coords),
         "tau": tau.label(),
         "r": args.r,
@@ -287,7 +251,7 @@ def _cmd_selftest(args) -> tuple[dict, int]:
     if args.panel is not None:
         try:
             data = json.loads(args.panel)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise UsageError(f"--panel is not valid JSON: {exc}") from exc
         if not isinstance(data, list):
             raise UsageError("--panel must be a JSON array of profile objects")
@@ -375,48 +339,39 @@ def run(argv: list[str]) -> tuple[dict, int]:
     """Execute one invocation; returns (report, exit_code) without printing."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # stdout carries only the report, so argparse's --help goes to stderr
+        with contextlib.redirect_stdout(sys.stderr):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return {"schema_version": SCHEMA_VERSION, "error": "usage", "exit_status": 2}, int(exc.code or 2)
 
     command_echo = {"subcommand": args.subcommand, "argv": list(argv)}
     try:
-        if args.subcommand == "profile":
-            payload, status = _cmd_profile(args), 0
-        elif args.subcommand == "cones":
-            payload, status = _cmd_cones(args), 0
-        elif args.subcommand == "reduce":
-            payload, status = _cmd_reduce(args), 0
-        elif args.subcommand == "picard":
-            payload, status = _cmd_picard(args), 0
-        elif args.subcommand == "bridge":
-            payload, status = _cmd_bridge(args), 0
-        else:
+        if args.subcommand == "selftest":
             payload, status = _cmd_selftest(args)
-    except (UsageError,) + USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        else:
+            # every other subcommand acts on one profile: each is called with
+            # the flags, the carousel and the mod-p factorization the profile
+            # was read from (None unless --minpoly was given)
+            profile, fact = _load_profile(args)
+            command = {
+                "profile": _cmd_profile,
+                "cones": _cmd_cones,
+                "reduce": _cmd_reduce,
+                "picard": _cmd_picard,
+                "bridge": _cmd_bridge,
+            }[args.subcommand]
+            payload, status = command(args, build_carousel(profile), fact), 0
+    except HasseConesError as exc:
+        status = exc.exit_status
+        prefix = "internal check failure" if isinstance(exc, InternalCheckError) else "error"
+        print(f"{prefix}: {exc}", file=sys.stderr)
         return {
             "schema_version": SCHEMA_VERSION,
             "command": command_echo,
             "error": {"type": type(exc).__name__, "message": str(exc)},
-            "exit_status": 2,
-        }, 2
-    except (InvariantError, NotPMaximal) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "command": command_echo,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-            "exit_status": 3,
-        }, 3
-    except InternalCheckError as exc:
-        print(f"internal check failure: {exc}", file=sys.stderr)
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "command": command_echo,
-            "error": {"type": "InternalCheckError", "message": str(exc)},
-            "exit_status": 4,
-        }, 4
+            "exit_status": status,
+        }, status
 
     report = {
         "schema_version": SCHEMA_VERSION,

@@ -18,12 +18,14 @@ c_j = n_{sigma rho} ... n_{sigma^j rho} (c_0 = 1):
   * the C^min ray for rho (a column of N^{-1}, scaled) has
     c_{m-1} / c_j = n_{sigma^{j+1} rho} ... n_{sigma^{m-1} rho} at sigma^j rho.
 
-Both are primitive (an entry is 1).  Membership, subset and equality are sign
-checks of vectors against normals.  Answers are certificates, never bare
-booleans: the slacks for a member, and for a non-member a violated normal.
-A SimplicialCone verifies the pairing of its rays and normals when it is
-built, so that normal is an integral separator: negative on x, nonnegative
-on every ray.
+Both are primitive (an entry is 1).  Membership and subset are sign checks of
+vectors against normals.  A SimplicialCone keeps its rays and normals
+primitive and sorted, so two of them are the same cone exactly when they are
+equal as values: the split criterion compares C^min and C^Hasse with `==`.
+Answers are certificates, never bare booleans: the slacks for a member, and
+for a non-member a violated normal.  A SimplicialCone verifies the pairing of
+its rays and normals when it is built, so that normal is an integral
+separator: negative on x, nonnegative on every ray.
 """
 
 from __future__ import annotations
@@ -253,7 +255,8 @@ class SplitEqualityReport:
 
 
 def split_equality_report(c: Carousel) -> SplitEqualityReport:
+    """Both cones are in canonical form, so `==` decides their equality."""
     return SplitEqualityReport(
         is_totally_split=c.profile.is_totally_split(),
-        cones_equal=cone_equal(min_cone(c), hasse_cone(c)),
+        cones_equal=min_cone(c) == hasse_cone(c),
     )

@@ -1,13 +1,17 @@
 """Exception taxonomy shared by the whole package.
 
-Every error raised on a user-facing path derives from HasseConesError so the
-CLI can map it to a stable exit code.  InternalCheckError is reserved for
+Every error raised on a user-facing path derives from HasseConesError, and
+each class carries the CLI exit code it maps to in `exit_status`: 2 for
+malformed or refused input (the default), 3 for a violated mathematical
+precondition, 4 for InternalCheckError.  InternalCheckError is reserved for
 postcondition violations: it firing means a bug, not bad input.
 """
 
 
 class HasseConesError(Exception):
     """Base class for all package errors."""
+
+    exit_status = 2
 
 
 class SchemaError(HasseConesError):
@@ -17,9 +21,13 @@ class SchemaError(HasseConesError):
 class InvariantError(HasseConesError):
     """Well-formed input that violates a mathematical precondition."""
 
+    exit_status = 3
+
 
 class NotPMaximal(HasseConesError):
     """The order defined by a minimal polynomial fails Dedekind's criterion at p."""
+
+    exit_status = 3
 
 
 class ForeignEmbedding(HasseConesError):
@@ -48,3 +56,5 @@ class MultiplierNotDividing(HasseConesError):
 
 class InternalCheckError(HasseConesError):
     """A self-check that should be unreachable failed; indicates a bug."""
+
+    exit_status = 4

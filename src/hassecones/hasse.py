@@ -30,10 +30,14 @@ class Weight:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        entries = tuple(self.coords)
+        # bool has __index__ too, but True is not a weight entry
+        if bool in map(type, entries):
+            raise SchemaError(f"weight entries must be integers, not booleans, got {entries!r}")
         try:
-            coords = tuple(operator.index(c) for c in self.coords)
+            coords = tuple(map(operator.index, entries))
         except TypeError as exc:
-            raise SchemaError(f"weight entries must be integers, got {self.coords!r}") from exc
+            raise SchemaError(f"weight entries must be integers, got {entries!r}") from exc
         object.__setattr__(self, "coords", coords)
 
     def __len__(self) -> int:

@@ -147,6 +147,6 @@ def parse_profile(document: str) -> SplittingProfile:
     """
     try:
         data = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-limit integers and deep nesting
         raise SchemaError(f"profile document is not valid JSON: {exc}") from exc
     return profile_from_data(data)

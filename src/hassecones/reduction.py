@@ -3,10 +3,9 @@
 A direction tau is reducible at k when n_tau * k_tau < k_{sigma^{-1} tau};
 subtracting the Hasse weight h_tau then preserves the space of forms, and in
 Hasse coordinates it decrements y_tau by exactly 1.  Greedy reduction walks
-earliest-reducible-first until it lands in C^min, detects a negative Hasse
-coordinate of the current weight (a weight-level vanishing certificate), or
-exhausts its step budget (believed unreachable; see the budget argument in
-greedy_reduce).
+earliest-reducible-first until it lands in C^min or detects a negative Hasse
+coordinate of the current weight (a weight-level vanishing certificate),
+after at most floor(sum_tau y_tau(k)) + 1 steps (see greedy_reduce).
 
 Decompositions k = w + sum a_tau h_tau with w in C^min and integral a >= 0
 are enumerated exactly: since y(w) = y(k) - a must be componentwise
@@ -101,29 +100,23 @@ class Vanishing:
     steps: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BudgetExceeded:
-    """Step budget ran out; not believed reachable."""
-
-    trace: tuple[int, ...]
-
-
-ReductionOutcome = InMinCone | Vanishing | BudgetExceeded
+ReductionOutcome = InMinCone | Vanishing
 
 
 def greedy_reduce(c: Carousel, k: Weight) -> ReductionOutcome:
     """Repeatedly step along the earliest reducible direction.
 
     Before each step the current weight's Hasse coordinates are checked; the
-    first negative one returns Vanishing.  The step budget is
-    sum_tau max(0, ceil(y_tau(k))) + d: every step decrements one coordinate
-    by 1 and coordinates are only stepped while nonnegative overall, so the
-    budget covers any terminating walk with room to spare.
+    first negative one returns Vanishing.  The walk always ends: a step is
+    taken only when every coordinate is >= 0, and each step lowers one
+    coordinate, hence sum_tau y_tau, by exactly 1.  So after s steps the sum
+    is sum_tau y_tau(k) - s, and step s + 1 needs it to be >= 0: the walk
+    takes at most floor(sum_tau y_tau(k)) + 1 steps, and none when a
+    coordinate of y(k) is negative.
     """
     check_weight(c, k)
     nums, den = coordinates_scaled(c, k)
     nums = list(nums)
-    budget = sum(max(0, -(-num // den)) for num in nums) + c.d
     current = k
     steps: list[int] = []
     while True:
@@ -136,8 +129,6 @@ def greedy_reduce(c: Carousel, k: Weight) -> ReductionOutcome:
             for j in steps:
                 a[j] += 1
             return InMinCone(make_decomposition(c, k, a), tuple(steps))
-        if len(steps) == budget:
-            return BudgetExceeded(tuple(steps))
         j = reducible[0]
         current = current - hasse_weight(c, c.embeddings[j])
         nums[j] -= den

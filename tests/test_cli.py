@@ -1,14 +1,20 @@
 """End-to-end CLI behavior: reports, exit codes, CSV, determinism."""
 
+import contextlib
 import csv
 import io
 import json
 import subprocess
 import sys
+from collections import Counter
 from time import perf_counter
 
-from hassecones import SplittingProfile, gfpoly
-from hassecones.cli import main, render, run
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hassecones import SplittingProfile, cli, cones, errors, gfpoly
+from hassecones.cli import MAX_BRIDGE_POWER, UsageError, main, render, run
 from hassecones.profile import profile_from_data
 from hassecones.selftest import MAX_PANEL_DEGREE
 
@@ -17,6 +23,14 @@ from helpers import profile_of
 RAMIFIED = '{"p": 2, "loci": [{"e": 2, "f": 1}]}'
 INERT = '{"p": 2, "loci": [{"e": 1, "f": 2}]}'
 SPLIT = '{"p": 3, "loci": [{"e": 1, "f": 1}, {"e": 1, "f": 1}]}'
+# CPython refuses to convert an integer of more than 4,300 digits to or from text
+OVER_LIMIT = "9" * 4400
+OVER_LIMIT_ARGVS = [
+    ["profile", "--profile", '{"p": %s, "loci": [{"e": 1, "f": 2}]}' % OVER_LIMIT],
+    ["reduce", "--profile", INERT, f"--weight=[-{OVER_LIMIT},0]"],
+    ["selftest", "--panel", '[{"p": %s, "loci": [{"e": 1, "f": 2}]}]' % OVER_LIMIT],
+    ["bridge", "--profile", '{"p":3,"loci":[{"e":1,"f":2}]}', "--weight=1,2", "--tau", "0", "--r", "10000"],
+]
 
 
 def _payload(argv):
@@ -195,11 +209,64 @@ def test_usage_errors_exit_2():
         ["profile", "--profile", RAMIFIED, "--minpoly", "[1,0,1]", "--p", "5"],  # both inputs
         ["profile"],
         ["profile", "--profile", "@/no/such/file.json"],
-    ]
+        ["profile", "--profile", "@bad\x00path"],  # open() raises ValueError, not OSError
+        ["profile", "--profile", "[" * 100_000],  # nesting beyond the recursion limit
+    ] + OVER_LIMIT_ARGVS
     for argv in cases:
         report, code = run(argv)
         assert code == 2, (argv, report)
         assert report["exit_status"] == 2
+
+
+def test_bridge_power_cap_names_cap_and_value():
+    assert MAX_BRIDGE_POWER == 64
+    argv = ["bridge", "--profile", INERT, "--weight", "[0,1]", "--tau", "0", "--r"]
+    assert run(argv + [str(MAX_BRIDGE_POWER)])[1] == 0
+    report, code = run(argv + [str(MAX_BRIDGE_POWER + 1)])
+    assert code == 2
+    assert report["error"]["type"] == "UsageError"
+    assert "65" in report["error"]["message"] and "r <= 64" in report["error"]["message"]
+
+
+# The README's exit-code list, by error class.
+EXIT_STATUS = {
+    errors.SchemaError: 2,
+    errors.ForeignEmbedding: 2,
+    errors.DimensionMismatch: 2,
+    errors.DimensionTooLarge: 2,
+    errors.NotReducible: 2,
+    errors.SingletonOrbit: 2,
+    errors.MultiplierNotDividing: 2,
+    UsageError: 2,
+    errors.InvariantError: 3,
+    errors.NotPMaximal: 3,
+    errors.InternalCheckError: 4,
+}
+
+
+def _error_classes(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+def test_every_error_class_is_listed():
+    assert set(_error_classes(errors.HasseConesError)) == set(EXIT_STATUS)
+
+
+@pytest.mark.parametrize("error", sorted(EXIT_STATUS, key=lambda cls: cls.__name__))
+def test_run_exits_with_the_status_of_the_raised_error(error, monkeypatch, capsys):
+    assert error.exit_status == EXIT_STATUS[error]
+
+    def failing(profile):
+        raise error("planted")
+
+    monkeypatch.setattr(cli, "build_carousel", failing)
+    report, code = run(["cones", "--profile", RAMIFIED])
+    assert code == report["exit_status"] == EXIT_STATUS[error]
+    assert report["error"] == {"type": error.__name__, "message": "planted"}
+    prefix = "internal check failure" if code == 4 else "error"
+    assert capsys.readouterr().err == f"{prefix}: planted\n"
 
 
 def test_invariant_errors_exit_3():
@@ -269,6 +336,23 @@ def test_minpoly_commands_factor_once(monkeypatch):
     assert len(calls) == 2
 
 
+def test_cones_builds_each_cone_once(monkeypatch):
+    # the split check compares the cones `cones` already built, in either namespace
+    calls = Counter()
+    for module in (cli, cones):
+        for name in ("min_cone", "std_cone", "hasse_cone"):
+
+            def counting(c, _name=name, _build=getattr(module, name)):
+                calls[_name] += 1
+                return _build(c)
+
+            monkeypatch.setattr(module, name, counting)
+    for profile in (RAMIFIED, SPLIT):
+        calls.clear()
+        _payload(["cones", "--profile", profile])
+        assert calls == {"min_cone": 1, "std_cone": 1, "hasse_cone": 1}
+
+
 def test_cones_beyond_degree_16():
     # double description used to refuse d > 16; the closed forms have no cap
     for p, pairs in ((2, [(1, 17)]), (3, [(1, 64)]), (2**61 - 1, [(1, 16), (2, 8), (4, 4), (1, 8)] + [(1, 1)] * 8)):
@@ -319,3 +403,93 @@ def test_main_usage_failure_status(capsys):
     status = main(["reduce", "--profile", RAMIFIED, "--weight", "bogus"])
     assert status == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# Contract: any argv gives one report, a documented exit code, no traceback
+
+
+
+def _mostly(usual, other):
+    """Draws from `usual`, and from `other` about one time in eight."""
+    return st.integers(0, 7).flatmap(lambda i: other if i == 3 else usual)
+
+
+PRIMES = _mostly(st.sampled_from([2, 3, 5, 7]), st.integers(-3, 12))
+LOCI = st.lists(st.tuples(_mostly(st.integers(1, 3), st.just(0)), st.integers(1, 3)), min_size=1, max_size=4).filter(
+    lambda pairs: sum(e * f for e, f in pairs) <= 9
+)
+PROFILE_DATA = st.builds(lambda p, pairs: {"p": p, "loci": [{"e": e, "f": f} for e, f in pairs]}, PRIMES, LOCI)
+
+
+def _degree(data):
+    return sum(locus["e"] * locus["f"] for locus in data["loci"])
+
+
+# the bridge check walks 5^d weights, so panel entries stay small or above the cap
+PANEL = st.lists(PROFILE_DATA.filter(lambda data: not 4 < _degree(data) <= MAX_PANEL_DEGREE), max_size=2)
+COMMANDS = {
+    "profile": ["--profile"],
+    "cones": ["--profile"],
+    "reduce": ["--profile", "--weight"],
+    "picard": ["--profile"],
+    "bridge": ["--profile", "--weight", "--tau", "--r"],
+    "selftest": ["--panel"],
+}
+SWITCHES = ["--csv", "--debug-bad-hasse", "-h"]
+
+
+def _int_list(values):
+    return values.flatmap(lambda v: st.sampled_from([json.dumps(v), ",".join(map(str, v))]))
+
+
+@st.composite
+def argvs(draw):
+    """Mostly well-formed commands; about one token in eight is arbitrary text."""
+    data = draw(PROFILE_DATA)
+    d = _degree(data)
+    entries = st.integers(-20, 20)
+    values = {
+        "--profile": st.just(json.dumps(data)),
+        "--minpoly": _int_list(st.lists(entries, min_size=2, max_size=max(2, d)).map(lambda v: v + [1])),
+        "--p": PRIMES.map(str),
+        "--seed": st.integers(0, 5).map(str),
+        "--weight": _int_list(st.lists(entries, min_size=d, max_size=d) | st.lists(entries, max_size=10)),
+        "--tau": st.integers(-1, d).map(str),
+        "--r": st.integers(0, 3).map(str),
+        "--stratum": st.text("01", min_size=d, max_size=d) | st.text("01", max_size=10),
+        "--panel": PANEL.map(json.dumps),
+    }
+    junk = st.text(max_size=30)
+    subcommand = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [draw(_mostly(st.just(subcommand), junk))]
+    names = [name for name in COMMANDS[subcommand] if draw(_mostly(st.just(True), st.just(False)))]
+    names += draw(_mostly(st.just([]), st.lists(st.sampled_from(sorted(values) + SWITCHES), max_size=3)))
+    for name in names:
+        if name in SWITCHES:
+            argv.append(name)
+            continue
+        value = draw(_mostly(values[name], junk))
+        argv += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+    return argv
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(argvs())
+@example(OVER_LIMIT_ARGVS[0])
+@example(OVER_LIMIT_ARGVS[1])
+@example(OVER_LIMIT_ARGVS[2])
+@example(OVER_LIMIT_ARGVS[3])
+@example(["reduce", "--profile", INERT, "-h"])
+def test_any_argv_gives_one_report(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in {0, 2, 3, 4}
+    assert "Traceback" not in err.getvalue()
+    text = out.getvalue()
+    if argv[0] == "picard" and "--csv" in argv and code == 0:
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0][0] == "stratum" and len(rows) >= 2
+    else:
+        assert json.loads(text)["exit_status"] == code

@@ -35,7 +35,7 @@ from hassecones import (
     std_cone,
 )
 
-from helpers import carousel_of, exhaustive_profiles, panel_carousels, weight_box
+from helpers import carousel_of, exhaustive_profiles, hasse_columns, panel_carousels, weight_box
 import oracles
 
 
@@ -308,6 +308,26 @@ def test_chain_and_split_criterion_small_profiles():
         assert cone_subset(middle, upper).holds, profile
         report = split_equality_report(c)
         assert report.consistent, profile
+
+
+def test_split_equality_agrees_with_generic_cone_equal():
+    # The canonical form decides equality with ==.  The generic routine
+    # decides it from the defining rows alone: C^min by its inequalities
+    # n_tau k_tau >= k_{sigma^{-1} tau}, C^Hasse by the Hasse weights.
+    for profile in exhaustive_profiles((2, 3, 5), dmax=8):
+        c = build_carousel(profile)
+        inequalities = []
+        for j in range(c.d):
+            row = [0] * c.d
+            row[j] += c.n_table[j]
+            row[c.sigma_inv_table[j]] -= 1
+            inequalities.append(row)
+        lower = HRepCone.from_rows(inequalities, c.d)
+        upper = VRepCone.from_rows(hasse_columns(c), c.d)
+        expected = oracles.cone_equal(upper, lower)
+        assert expected == profile.is_totally_split(), profile
+        assert (min_cone(c) == hasse_cone(c)) == expected, profile
+        assert split_equality_report(c).cones_equal == expected, profile
 
 
 def test_min_cone_weights_agree_with_box_scan():

@@ -192,10 +192,10 @@ def test_weight_algebra():
 
 def test_weight_rejects_non_integers():
     # int() used to truncate 1.5 and parse "7" without a word
-    for bad in ((1.5, 2), ("7", 2), (1.5, "7", True), (Fraction(1, 2), 0), (None, 1)):
+    for bad in ((1.5, 2), ("7", 2), (1.5, "7", True), (Fraction(1, 2), 0), (None, 1), (True, 0)):
         with pytest.raises(SchemaError):
             Weight(bad)
-    # anything with __index__ is an integer, and is stored as a plain int
+    # anything with __index__ but bool is an integer, and is stored as a plain int
     k = Weight((np.int64(3), 2))
     assert k.coords == (3, 2)
     assert type(k.coords[0]) is int

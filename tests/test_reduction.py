@@ -16,7 +16,6 @@ from fractions import Fraction
 import pytest
 
 from hassecones import (
-    BudgetExceeded,
     Decomposition,
     Embedding,
     InMinCone,
@@ -40,6 +39,7 @@ from hassecones import (
 from helpers import (
     brute_force_decompositions,
     carousel_of,
+    floor_frac,
     random_profile,
     weight_box,
 )
@@ -175,7 +175,13 @@ def test_greedy_never_exhausts_budget_on_sweeps():
         if c.d > 3:
             continue
         for k in weight_box(c.d, 4):
-            assert not isinstance(greedy_reduce(c, k), BudgetExceeded)
+            # the walk steps only while every coordinate is >= 0 and lowers
+            # their sum by 1 each time, so it ends within floor(sum y) + 1 steps
+            # (none at all when the sum is below -1: a coordinate is negative)
+            outcome = greedy_reduce(c, k)
+            assert isinstance(outcome, (InMinCone, Vanishing)), (p, pairs, tuple(k))
+            bound = floor_frac(sum(hasse_coordinates(c, k).entries)) + 1
+            assert len(outcome.steps) <= max(0, bound), (p, pairs, tuple(k))
 
 
 def test_greedy_in_min_cone_is_enumerated():
