@@ -12,19 +12,14 @@ closed form one orbit at a time.
 
 from .carousel import Carousel, Embedding, build_carousel, n_of, orbit, sigma, sigma_inv
 from .cones import (
-    HRepCone,
     MembershipCertificate,
     SimplicialCone,
-    SplitEqualityReport,
-    SubsetCertificate,
-    VRepCone,
-    cone_equal,
-    cone_subset,
+    cone_chain,
     contains,
     hasse_cone,
     hasse_contains,
     min_cone,
-    split_equality_report,
+    split_criterion,
     std_cone,
 )
 from .errors import (
@@ -36,7 +31,6 @@ from .errors import (
     InvariantError,
     MultiplierNotDividing,
     NotPMaximal,
-    NotReducible,
     SchemaError,
     SingletonOrbit,
 )
@@ -48,9 +42,8 @@ from .gfpoly import (
     profile_from_minpoly,
 )
 from .hasse import (
-    HasseMatrix,
-    RationalVector,
     Weight,
+    determinant_identity,
     hasse_coordinates,
     hasse_lattice_index,
     hasse_matrix,
@@ -67,18 +60,17 @@ from .reduction import (
     in_min_cone,
     make_decomposition,
     pareto_maximal_decompositions,
-    reduce_step,
     reducible_directions,
 )
 from .strata import (
     PicardSummary,
     StratumLabel,
-    closure_set,
+    bridge_agrees,
     fibre_degree,
-    picard_relations,
     stratum_dimension,
     theorem_bridge,
     torsion_summary,
+    within_torsion_bound,
 )
 
 __version__ = "0.1.0"

@@ -20,26 +20,29 @@ from fractions import Fraction
 
 from . import selftest as selftest_mod
 from .carousel import build_carousel
-from .cones import (
-    cone_subset,
-    hasse_cone,
-    hasse_contains,
-    min_cone,
-    std_cone,
-)
+from .cones import cone_chain, hasse_cone, hasse_contains, min_cone, split_criterion, std_cone
 from .errors import HasseConesError, InternalCheckError, InvariantError
 from .gfpoly import MinPolySpec, ModPFactorization, _profile_and_factorization
-from .hasse import Weight, hasse_coordinates, hasse_lattice_index, hasse_matrix
+from .hasse import Weight, determinant_identity, hasse_coordinates, hasse_lattice_index, hasse_matrix
 from .intlinalg import bareiss_determinant
 from .profile import SplittingProfile, parse_profile, profile_from_data
 from .reduction import InMinCone, greedy_reduce, reducible_directions
-from .strata import StratumLabel, fibre_degree, stratum_dimension, theorem_bridge, torsion_summary
+from .strata import StratumLabel, bridge_agrees, fibre_degree, stratum_dimension, torsion_summary, within_torsion_bound
 
 SCHEMA_VERSION = "1"
 MAX_SWEEP_DEGREE = 12
 # p**r is exact, so its size grows with r without bound: at r = 10,000 the
 # fibre degree already has more digits than CPython will print.
 MAX_BRIDGE_POWER = 64
+# Every integer `reduce` and `bridge` print stays below CPython's 4,300-digit
+# limit for converting integers to text, 10**4300 > 2**14284, when weight
+# entries have at most MAX_WEIGHT_BITS bits.  With p < 2**64, f <= d <= 64 and
+# r <= MAX_BRIDGE_POWER the largest are the numerators of Hasse coordinates,
+# (p**f - 1) y_tau = sum of at most d terms c_j k_j with c_j <= p**f, so below
+# 2**(6 + 4096) max|k|, and the fibre degree, below 2 p**r max|k| <= 2**4097
+# max|k|.  Any cap up to 2**10182 would do; weights, exponents a and w are far
+# smaller.
+MAX_WEIGHT_BITS = 10_000
 
 
 class UsageError(HasseConesError):
@@ -87,6 +90,17 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise UsageError(f"{flag} must be a JSON array or comma-separated integers") from exc
 
 
+def _parse_weight(text: str) -> Weight:
+    coords = _parse_int_list(text, "--weight")
+    for index, value in enumerate(coords):
+        if value.bit_length() > MAX_WEIGHT_BITS:
+            raise UsageError(
+                f"--weight entry {index} has {value.bit_length()} bits; "
+                f"entries are capped at {MAX_WEIGHT_BITS} bits, |k| < 2^{MAX_WEIGHT_BITS}"
+            )
+    return Weight(tuple(coords))
+
+
 def _cmd_profile(args, c, fact) -> dict:
     profile = c.profile
     payload = {
@@ -111,18 +125,13 @@ def _cmd_cones(args, c, fact) -> dict:
     cone_std = std_cone(c)
     cone_hasse = hasse_cone(c)
     matrix = hasse_matrix(c)
-    det = bareiss_determinant(matrix.rows)
+    det = bareiss_determinant(matrix)
     expected = hasse_lattice_index(profile)
-    if abs(det) != expected:
+    if not determinant_identity(profile, det):
         raise InternalCheckError(f"determinant {det} does not match the locus product {expected}")
-    # Both cones are in canonical form (primitive, sorted rays and normals,
-    # pairing verified), so dataclass equality is equality of the cones.
-    totally_split = profile.is_totally_split()
-    cones_equal = cone_min == cone_hasse
-    if totally_split != cones_equal:
+    if not split_criterion(c, cone_min, cone_hasse):
         raise InternalCheckError("split criterion and cone equality disagree")
-    chain_low = cone_subset(cone_min, cone_std)
-    chain_high = cone_subset(cone_std, cone_hasse)
+    chain_low, chain_high = cone_chain(cone_min, cone_hasse)
     if not (chain_low and chain_high):
         raise InternalCheckError("cone chain containment failed")
     return {
@@ -136,19 +145,18 @@ def _cmd_cones(args, c, fact) -> dict:
             "rays": [list(ray) for ray in cone_hasse.rays],
             "normals": [list(row) for row in cone_hasse.normals],
         },
-        "hasse_matrix": [list(row) for row in matrix.rows],
+        "hasse_matrix": [list(row) for row in matrix],
         "determinant": det,
         "hasse_lattice_index": expected,
-        "chain": {"min_in_std": bool(chain_low), "std_in_hasse": bool(chain_high)},
-        "split": {"totally_split": totally_split, "cones_equal": cones_equal},
+        "chain": {"min_in_std": chain_low, "std_in_hasse": chain_high},
+        "split": {"totally_split": profile.is_totally_split(), "cones_equal": cone_min == cone_hasse},
     }
 
 
 def _cmd_reduce(args, c, fact) -> dict:
     if args.weight is None:
         raise UsageError("reduce requires --weight")
-    coords = _parse_int_list(args.weight, "--weight")
-    k = Weight(tuple(coords))
+    k = _parse_weight(args.weight)
     coords_exact = hasse_coordinates(c, k)
     membership = hasse_contains(c, k)
     outcome = greedy_reduce(c, k)
@@ -179,20 +187,13 @@ def _cmd_reduce(args, c, fact) -> dict:
 
 def _stratum_row(c, label: StratumLabel) -> dict:
     summary = torsion_summary(c, label, locus="open")
-    p = c.profile.p
-    bounds = []
-    for locus in c.profile.loci:
-        bounds.extend([p ** (2 * locus.f) - 1] * locus.degree)
-    divisibility = all(
-        order != 0 and bound % order == 0 for order, bound in zip(summary.torsion_orders, bounds)
-    )
     return {
         "stratum": label.bitstring(),
         "dimension": stratum_dimension(c.d, label),
         "invariant_factors": list(summary.invariant_factors),
         "torsion_orders": list(summary.torsion_orders),
         "group_order": summary.group_order,
-        "divisibility": "pass" if divisibility else "fail",
+        "divisibility": "pass" if within_torsion_bound(c, summary) else "fail",
     }
 
 
@@ -225,14 +226,13 @@ def _cmd_bridge(args, c, fact) -> dict:
         raise UsageError("bridge requires --r")
     if args.r > MAX_BRIDGE_POWER:
         raise UsageError(f"--r is {args.r}; the power of p is capped at r <= {MAX_BRIDGE_POWER}")
-    k = Weight(tuple(_parse_int_list(args.weight, "--weight")))
+    k = _parse_weight(args.weight)
     if not (0 <= args.tau < c.d):
         raise UsageError(f"--tau must be in [0, {c.d})")
     tau = c.embeddings[args.tau]
     degree = fibre_degree(c, k, tau, args.r)
-    bridge = theorem_bridge(c, k, tau, args.r)
-    reducible = tau in set(reducible_directions(c, k))
-    if bridge != reducible:
+    reducible = reducible_directions(c, k)
+    if not bridge_agrees(c, k, tau, args.r, reducible):
         raise InternalCheckError("fibre-degree sign disagrees with reducibility")
     return {
         "profile": c.profile.as_dict(),
@@ -241,8 +241,8 @@ def _cmd_bridge(args, c, fact) -> dict:
         "r": args.r,
         "multiplier": c.n_table[args.tau],
         "fibre_degree": degree,
-        "negative": bridge,
-        "reducible": reducible,
+        "negative": degree < 0,
+        "reducible": tau in reducible,
     }
 
 

@@ -1,4 +1,4 @@
-"""Rational polyhedral cones: the three weight cones and certified membership.
+"""The three weight cones, built in closed form, and certified membership.
 
 Three cones in Q^Sigma drive the weight combinatorics:
 
@@ -9,17 +9,18 @@ Three cones in Q^Sigma drive the weight combinatorics:
 with C^min contained in C^st contained in C^Hasse, and C^min = C^Hasse
 exactly when p is totally split.
 
-All three are simplicial, and each is built with both its d rays and its d
-facet normals, written down one sigma-orbit at a time.  On the orbit
-rho, sigma rho, ..., sigma^{m-1} rho of a locus, with partial products
-c_j = n_{sigma rho} ... n_{sigma^j rho} (c_0 = 1):
+All three are simplicial (SimplicialCone), and each is built with both its
+d rays and its d facet normals, written down one sigma-orbit at a time.  On
+the orbit rho, sigma rho, ..., sigma^{m-1} rho of a locus, with partial
+products c_j = n_{sigma rho} ... n_{sigma^j rho} (c_0 = 1):
 
   * the C^Hasse normal for rho (a row of M^{-1}, scaled) has c_j at sigma^j rho;
   * the C^min ray for rho (a column of N^{-1}, scaled) has
     c_{m-1} / c_j = n_{sigma^{j+1} rho} ... n_{sigma^{m-1} rho} at sigma^j rho.
 
-Both are primitive (an entry is 1).  Membership and subset are sign checks of
-vectors against normals.  A SimplicialCone keeps its rays and normals
+Both are primitive (an entry is 1).  Membership is a sign check of a vector
+against the normals, and the chain is a sign read of the C^min rays and the
+C^Hasse normals (cone_chain).  A SimplicialCone keeps its rays and normals
 primitive and sorted, so two of them are the same cone exactly when they are
 equal as values: the split criterion compares C^min and C^Hasse with `==`.
 Answers are certificates, never bare booleans: the slacks for a member, and
@@ -50,30 +51,6 @@ def _canonical_rows(rows, dim: int):
             raise InvariantError("zero vector is not a valid normal or ray")
         seen.append(primitive(row))
     return tuple(sorted(set(seen)))
-
-
-@dataclass(frozen=True)
-class HRepCone:
-    """Cone cut out by normals: {x : a . x >= 0 for every row a}."""
-
-    dim: int
-    normals: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_rows(cls, rows, dim: int) -> "HRepCone":
-        return cls(dim, _canonical_rows(rows, dim))
-
-
-@dataclass(frozen=True)
-class VRepCone:
-    """Cone generated by rays: {sum lambda_j r_j : lambda_j >= 0}."""
-
-    dim: int
-    rays: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_rows(cls, rows, dim: int) -> "VRepCone":
-        return cls(dim, _canonical_rows(rows, dim))
 
 
 @dataclass(frozen=True)
@@ -184,10 +161,10 @@ def _exact(v):
         return Fraction(v)
 
 
-def contains(cone, x) -> MembershipCertificate:
-    """Exact membership of a rational vector in a cone with known normals."""
-    if not isinstance(cone, (HRepCone, SimplicialCone)):
-        raise TypeError(f"membership needs the facet normals of the cone, got {cone!r}")
+def contains(cone: SimplicialCone, x) -> MembershipCertificate:
+    """Exact membership of a rational vector in a simplicial cone."""
+    if not isinstance(cone, SimplicialCone):
+        raise TypeError(f"membership needs a SimplicialCone, got {cone!r}")
     vec = tuple(_exact(v) for v in x)
     if len(vec) != cone.dim:
         raise DimensionMismatch(f"vector has length {len(vec)}, expected {cone.dim}")
@@ -211,52 +188,26 @@ def hasse_contains(c: Carousel, k: Weight) -> MembershipCertificate:
 
 
 # ---------------------------------------------------------------------------
-# Subset and equality
+# The chain and the split criterion
 
 
-@dataclass(frozen=True)
-class SubsetCertificate:
-    """Outcome of cone_subset: per-ray membership certificates in order."""
+def cone_chain(cone_min: SimplicialCone, cone_hasse: SimplicialCone) -> tuple[bool, bool]:
+    """(C^min in C^st, C^st in C^Hasse), read off signs in O(d^2).
 
-    holds: bool
-    ray_certificates: tuple[tuple[tuple[int, ...], MembershipCertificate], ...]
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def cone_subset(inner, outer) -> SubsetCertificate:
-    """Is every ray of `inner` contained in `outer`?
-
-    `inner` needs rays (VRepCone or SimplicialCone) and `outer` normals
-    (HRepCone or SimplicialCone).  Sound because cones are closed under
-    nonnegative combinations.
+    C^st is the orthant, generated and cut out by the unit vectors.  So C^min
+    lies in it iff every C^min ray is entrywise >= 0, and it lies in C^Hasse
+    iff every C^Hasse normal is: the slack of the unit ray e_j against a
+    normal is the normal's entry j.
     """
-    if not isinstance(inner, (VRepCone, SimplicialCone)):
-        raise TypeError(f"subset needs the rays of the inner cone, got {inner!r}")
-    certs = tuple((ray, contains(outer, ray)) for ray in inner.rays)
-    return SubsetCertificate(all(cert.member for _, cert in certs), certs)
-
-
-def cone_equal(a, b) -> bool:
-    return bool(cone_subset(a, b)) and bool(cone_subset(b, a))
-
-
-@dataclass(frozen=True)
-class SplitEqualityReport:
-    """The split criterion: C^min equals C^Hasse iff p is totally split."""
-
-    is_totally_split: bool
-    cones_equal: bool
-
-    @property
-    def consistent(self) -> bool:
-        return self.is_totally_split == self.cones_equal
-
-
-def split_equality_report(c: Carousel) -> SplitEqualityReport:
-    """Both cones are in canonical form, so `==` decides their equality."""
-    return SplitEqualityReport(
-        is_totally_split=c.profile.is_totally_split(),
-        cones_equal=min_cone(c) == hasse_cone(c),
+    return (
+        all(v >= 0 for ray in cone_min.rays for v in ray),
+        all(v >= 0 for normal in cone_hasse.normals for v in normal),
     )
+
+
+def split_criterion(c: Carousel, cone_min: SimplicialCone, cone_hasse: SimplicialCone) -> bool:
+    """Whether C^min = C^Hasse exactly when p is totally split, as it must.
+
+    Both cones are in canonical form, so `==` is equality of the cones.
+    """
+    return (cone_min == cone_hasse) == c.profile.is_totally_split()

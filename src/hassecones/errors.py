@@ -42,10 +42,6 @@ class DimensionTooLarge(HasseConesError):
     """An input's degree exceeds a documented cap (the selftest panel's)."""
 
 
-class NotReducible(HasseConesError):
-    """A reduction step was requested in a direction that is not reducible."""
-
-
 class SingletonOrbit(HasseConesError):
     """A fibre-degree computation needs an orbit of length at least two."""
 

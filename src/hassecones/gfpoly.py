@@ -285,11 +285,6 @@ def factor_mod_p(g: MinPolySpec, seed: int = 0) -> ModPFactorization:
     return result
 
 
-def _lift(a: Poly) -> tuple[int, ...]:
-    # Representative with coefficients in [0, p); already how Poly is stored.
-    return a
-
-
 def _int_poly_mul(a, b) -> tuple[int, ...]:
     if not a or not b:
         return ()
@@ -318,7 +313,8 @@ def _dedekind(g: MinPolySpec, fact: ModPFactorization) -> bool:
         gstar_bar = mul(gstar_bar, gi, p)
         for _ in range(ei - 1):
             hstar_bar = mul(hstar_bar, gi, p)
-    product = _int_poly_mul(_lift(gstar_bar), _lift(hstar_bar))
+    # a Poly already stores coefficients in [0, p), so it is its own lift to Z
+    product = _int_poly_mul(gstar_bar, hstar_bar)
     gc = g.coefficients
     n = max(len(product), len(gc))
     diff = [(product[i] if i < len(product) else 0) - (gc[i] if i < len(gc) else 0) for i in range(n)]

@@ -10,6 +10,10 @@ multipliers multiply to p**f.  So |det M| = prod over loci of (p**f - 1), and
 every integer weight k has unique rational Hasse coordinates y with M y = k.
 Row tau of M y = k reads k_tau = n_{sigma tau} y_{sigma tau} - y_tau, which
 is solved exactly once around each orbit, with no matrix inversion.
+
+The matrix is a tuple of integer rows and the coordinates a tuple of
+Fractions.  The determinant identity is checked by determinant_identity
+against a determinant computed independently (Bareiss, in intlinalg).
 """
 
 from __future__ import annotations
@@ -60,32 +64,6 @@ class Weight:
         return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
 
-@dataclass(frozen=True)
-class RationalVector:
-    """Exact rational vector; entries are fractions.Fraction."""
-
-    entries: tuple[Fraction, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, index: int) -> Fraction:
-        return self.entries[index]
-
-
-@dataclass(frozen=True)
-class HasseMatrix:
-    """Rows of M in the canonical order; column tau is h_tau."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.rows)
-
-
 def check_weight(c: Carousel, k: Weight) -> None:
     if len(k) != c.d:
         raise DimensionMismatch(f"weight has length {len(k)}, carousel has degree {c.d}")
@@ -100,8 +78,8 @@ def hasse_weight(c: Carousel, tau: Embedding) -> Weight:
     return Weight(tuple(coords))
 
 
-def hasse_matrix(c: Carousel) -> HasseMatrix:
-    """The d x d matrix whose column at position tau is hasse_weight(tau).
+def hasse_matrix(c: Carousel) -> tuple[tuple[int, ...], ...]:
+    """Rows of the d x d matrix whose column at position tau is hasse_weight(tau).
 
     Built by summation so that a split locus (e = f = 1, sigma fixing tau)
     lands both terms on the diagonal: entry p - 1.
@@ -110,7 +88,7 @@ def hasse_matrix(c: Carousel) -> HasseMatrix:
     for j in range(c.d):
         rows[c.sigma_inv_table[j]][j] += c.n_table[j]
         rows[j][j] -= 1
-    return HasseMatrix(tuple(tuple(row) for row in rows))
+    return tuple(tuple(row) for row in rows)
 
 
 def hasse_lattice_index(profile: SplittingProfile) -> int:
@@ -119,6 +97,11 @@ def hasse_lattice_index(profile: SplittingProfile) -> int:
     for locus in profile.loci:
         out *= profile.p**locus.f - 1
     return out
+
+
+def determinant_identity(profile: SplittingProfile, det: int) -> bool:
+    """Whether det, the determinant of a Hasse matrix, satisfies |det M| = prod (p**f - 1)."""
+    return abs(det) == hasse_lattice_index(profile)
 
 
 def coordinates_scaled(c: Carousel, k: Weight) -> tuple[tuple[int, ...], int]:
@@ -154,7 +137,7 @@ def coordinates_scaled(c: Carousel, k: Weight) -> tuple[tuple[int, ...], int]:
     return tuple(nums), den
 
 
-def hasse_coordinates(c: Carousel, k: Weight) -> RationalVector:
+def hasse_coordinates(c: Carousel, k: Weight) -> tuple[Fraction, ...]:
     """The unique rational y with M y = k."""
     nums, den = coordinates_scaled(c, k)
-    return RationalVector(tuple(Fraction(num, den) for num in nums))
+    return tuple(Fraction(num, den) for num in nums)

@@ -88,7 +88,8 @@ class SplittingProfile:
         if d < 2:
             raise InvariantError(f"total degree must be at least 2, got {d}")
         if d > MAX_DEGREE:
-            raise InvariantError(f"total degree must be at most {MAX_DEGREE}, got {d}")
+            # d is not printed: e * f of two 4,300-digit entries is too long to format
+            raise InvariantError(f"total degree must be at most {MAX_DEGREE}")
 
     @property
     def degree(self) -> int:

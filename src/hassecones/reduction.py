@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .carousel import Carousel, Embedding
-from .errors import InvariantError, NotReducible
+from .errors import InvariantError
 from .hasse import Weight, check_weight, coordinates_scaled, hasse_weight
 
 
@@ -39,15 +39,6 @@ def reducible_directions(c: Carousel, k: Weight) -> tuple[Embedding, ...]:
 def in_min_cone(c: Carousel, k: Weight) -> bool:
     check_weight(c, k)
     return not _reducible_indices(c, k.coords)
-
-
-def reduce_step(c: Carousel, k: Weight, tau: Embedding) -> Weight:
-    """k - h_tau; requires tau reducible at k."""
-    check_weight(c, k)
-    j = c.index_of(tau)
-    if c.n_table[j] * k[j] >= k[c.sigma_inv_table[j]]:
-        raise NotReducible(f"{tau.label()} is not a reducible direction at {tuple(k)}")
-    return k - hasse_weight(c, tau)
 
 
 @dataclass(frozen=True)

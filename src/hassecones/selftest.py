@@ -3,7 +3,11 @@
 Five checks over a fixed panel of profiles: the determinant identity
 |det M| = prod (p**f - 1), the cone chain C^min <= C^st <= C^Hasse, the split
 criterion (equality iff totally split), the fibre-degree bridge against
-reducible directions, and the torsion divisor bound on all strata.
+reducible directions, and the torsion divisor bound on all strata.  Each
+check calls the one predicate that states its invariant, in the module that
+owns the mathematics (hasse.determinant_identity, cones.cone_chain,
+cones.split_criterion, strata.bridge_agrees, strata.within_torsion_bound);
+the `cones`, `bridge` and `picard` reports use the same predicates.
 
 The `bad_hasse` hook deliberately builds the Hasse matrix with the wrong sign
 on the e_tau term so the determinant check trips; it exists as a negative
@@ -15,13 +19,13 @@ from __future__ import annotations
 from itertools import product
 
 from .carousel import build_carousel
-from .cones import cone_subset, hasse_cone, min_cone, split_equality_report, std_cone
+from .cones import cone_chain, hasse_cone, min_cone, split_criterion
 from .errors import DimensionTooLarge
-from .hasse import Weight, hasse_lattice_index, hasse_matrix
+from .hasse import Weight, determinant_identity, hasse_matrix
 from .intlinalg import bareiss_determinant
 from .profile import PrimeLocus, SplittingProfile
 from .reduction import reducible_directions
-from .strata import StratumLabel, theorem_bridge, torsion_summary
+from .strata import StratumLabel, bridge_agrees, torsion_summary, within_torsion_bound
 
 
 def _profile(p: int, pairs) -> SplittingProfile:
@@ -46,52 +50,40 @@ MAX_PANEL_DEGREE = 7
 
 
 def _determinant_check(c, bad_hasse: bool) -> bool:
-    rows = [list(row) for row in hasse_matrix(c).rows]
+    rows = [list(row) for row in hasse_matrix(c)]
     if bad_hasse:
         # Negative control: flip the -e_tau term to +e_tau in every column.
         for j in range(c.d):
             rows[j][j] += 2
-    return abs(bareiss_determinant(rows)) == hasse_lattice_index(c.profile)
+    return determinant_identity(c.profile, bareiss_determinant(rows))
 
 
 def _cone_chain_check(c) -> bool:
-    lower = cone_subset(min_cone(c), std_cone(c))
-    upper = cone_subset(std_cone(c), hasse_cone(c))
-    return bool(lower) and bool(upper)
+    return all(cone_chain(min_cone(c), hasse_cone(c)))
 
 
 def _split_check(c) -> bool:
-    return split_equality_report(c).consistent
+    return split_criterion(c, min_cone(c), hasse_cone(c))
 
 
 def _bridge_check(c) -> bool:
-    taus = [
-        tau
-        for tau in c.embeddings
-        if c.profile.loci[tau.locus].degree > 1
-    ]
+    taus = [tau for tau in c.embeddings if c.profile.loci[tau.locus].degree > 1]
     for coords in product(range(-BRIDGE_BOX, BRIDGE_BOX + 1), repeat=c.d):
         k = Weight(coords)
         reducible = set(reducible_directions(c, k))
         for tau in taus:
             for r in BRIDGE_POWERS:
-                if theorem_bridge(c, k, tau, r) != (tau in reducible):
+                if not bridge_agrees(c, k, tau, r, reducible):
                     return False
     return True
 
 
 def _torsion_check(c) -> bool:
     d = c.d
-    p = c.profile.p
-    bounds = []
-    for locus in c.profile.loci:
-        bounds.extend([p ** (2 * locus.f) - 1] * locus.degree)
     for mask in range(2**d):
         label = StratumLabel(d, frozenset(j for j in range(d) if mask >> j & 1))
-        summary = torsion_summary(c, label, locus="open")
-        for order, bound in zip(summary.torsion_orders, bounds):
-            if order == 0 or bound % order:
-                return False
+        if not within_torsion_bound(c, torsion_summary(c, label, locus="open")):
+            return False
     return True
 
 

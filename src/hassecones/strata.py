@@ -15,24 +15,25 @@ relations close up into Z/a_P with a_P = p**f - (-1)**|T cap P|, generated by
 every omega_tau over P; a_P divides p**(2f) - 1.  On the closed stratum only
 the rows for tau in T are forced: a locus inside T still closes up into
 Z/a_P, while any other locus leaves chains whose quotient is free, so its
-omega_tau have infinite order.
+omega_tau have infinite order.  The rows themselves are never built here;
+the generic Smith-form route over them is a test oracle.  within_torsion_bound
+checks the divisor bound p**(2f) - 1 on every torsion order.
 
 The fibre-degree bridge: the relevant projective bundle on the Iwahori side
 has fibre degree p**r k_tau - (p**r / n_tau) k_{sigma^{-1} tau} over the
 tau-line, and its negativity is equivalent to tau being a reducible
-direction, tying the geometry back to the reduction engine.
+direction, tying the geometry back to the reduction engine; bridge_agrees
+checks that equivalence at one (k, tau, r).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
 
 from .carousel import Carousel, Embedding
 from .errors import InvariantError, MultiplierNotDividing, SingletonOrbit
 from .hasse import Weight, check_weight
-from .reduction import reducible_directions
 
 
 @dataclass(frozen=True)
@@ -67,40 +68,11 @@ def stratum_dimension(d: int, T: StratumLabel) -> int:
     return d - len(T.members)
 
 
-def closure_set(T: StratumLabel) -> tuple[StratumLabel, ...]:
-    """All supersets of T (the strata in the closure), in bitstring order."""
-    rest = sorted(set(range(T.size)) - T.members)
-    out = []
-    for r in range(len(rest) + 1):
-        for extra in combinations(rest, r):
-            out.append(StratumLabel(T.size, T.members | set(extra)))
-    return tuple(sorted(out, key=lambda label: label.bitstring()))
-
-
 def _check_stratum(c: Carousel, T: StratumLabel, locus: str) -> None:
     if T.size != c.d:
         raise InvariantError(f"stratum has ambient size {T.size}, carousel degree {c.d}")
     if locus not in ("open", "closed"):
         raise InvariantError(f"locus must be 'open' or 'closed', got {locus!r}")
-
-
-def picard_relations(c: Carousel, T: StratumLabel, locus: str = "open") -> tuple[tuple[int, ...], ...]:
-    """Integer relation rows among the omega_tau on the stratum labelled T.
-
-    locus="open": one row per embedding, sign +n_tau for tau in T and -n_tau
-    otherwise.  locus="closed": only the rows for tau in T are forced.
-    """
-    _check_stratum(c, T, locus)
-    rows = []
-    for j in range(c.d):
-        if locus == "closed" and j not in T.members:
-            continue
-        sign = 1 if j in T.members else -1
-        row = [0] * c.d
-        row[j] += 1
-        row[c.sigma_inv_table[j]] += sign * c.n_table[j]
-        rows.append(tuple(row))
-    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -170,6 +142,13 @@ def torsion_summary(c: Carousel, T: StratumLabel, locus: str = "open") -> Picard
     return PicardSummary(T, locus, facs, tuple(orders))
 
 
+def within_torsion_bound(c: Carousel, summary: PicardSummary) -> bool:
+    """Whether every omega_tau has finite order dividing p**(2f) - 1, f that of tau's locus."""
+    p = c.profile.p
+    bounds = [p ** (2 * locus.f) - 1 for locus in c.profile.loci for _ in range(locus.degree)]
+    return all(order != 0 and bound % order == 0 for order, bound in zip(summary.torsion_orders, bounds))
+
+
 def fibre_degree(c: Carousel, k: Weight, tau0: Embedding, r: int) -> int:
     """Degree p**r k_tau0 - (p**r / n_tau0) k_{sigma^{-1} tau0} of the bridge bundle."""
     check_weight(c, k)
@@ -189,3 +168,8 @@ def fibre_degree(c: Carousel, k: Weight, tau0: Embedding, r: int) -> int:
 def theorem_bridge(c: Carousel, k: Weight, tau0: Embedding, r: int) -> bool:
     """Negativity of the fibre degree; equals tau0 being a reducible direction."""
     return fibre_degree(c, k, tau0, r) < 0
+
+
+def bridge_agrees(c: Carousel, k: Weight, tau0: Embedding, r: int, reducible) -> bool:
+    """Whether theorem_bridge holds at tau0, given the reducible directions at k."""
+    return theorem_bridge(c, k, tau0, r) == (tau0 in reducible)

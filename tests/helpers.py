@@ -1,5 +1,6 @@
-"""Shared test utilities: profile builders, exhaustive sweeps, and exact
-linear-algebra oracles kept deliberately independent of the library code.
+"""Shared test utilities: profile builders, exhaustive sweeps, exact
+linear-algebra oracles kept deliberately independent of the library code,
+and the single reduction step and stratum closure the tests walk by hand.
 
 The oracles here use plain Gaussian elimination over Fraction and blind box
 search, so that agreement with the library is a real cross-check and not the
@@ -7,11 +8,12 @@ same algorithm run twice.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from hassecones import (
     PrimeLocus,
     SplittingProfile,
+    StratumLabel,
     Weight,
     build_carousel,
     hasse_weight,
@@ -215,3 +217,21 @@ def weight_box(d, radius):
     """All integer weights with entries in [-radius, radius]."""
     for coords in product(range(-radius, radius + 1), repeat=d):
         yield Weight(coords)
+
+
+def reduce_step(c, k, tau):
+    """k - h_tau; ValueError unless tau is reducible at k."""
+    j = c.index_of(tau)
+    if c.n_table[j] * k[j] >= k[c.sigma_inv_table[j]]:
+        raise ValueError(f"{tau.label()} is not a reducible direction at {tuple(k)}")
+    return k - hasse_weight(c, tau)
+
+
+def closure_set(T):
+    """All supersets of T (the strata in the closure), in bitstring order."""
+    rest = sorted(set(range(T.size)) - T.members)
+    out = []
+    for r in range(len(rest) + 1):
+        for extra in combinations(rest, r):
+            out.append(StratumLabel(T.size, T.members | set(extra)))
+    return tuple(sorted(out, key=lambda label: label.bitstring()))

@@ -10,10 +10,11 @@ run:
   * the Hasse coordinate solve through a cached integer adjugate;
   * double description (Fukuda & Prodon, "Double description method
     revisited", 1996) in both directions, capped at MAX_DD_DIMENSION;
+  * the single-representation cones HRepCone and VRepCone they act on;
   * membership in a V-representation by an exact phase-I simplex over
     Fraction with Bland's rule, and subset/equality built on it;
-  * Smith normal form with unimodular transforms, and torsion orders read
-    off its transform.
+  * the Picard relation rows of a stratum, their Smith normal form with
+    unimodular transforms, and torsion orders read off its transform.
 
 Names that clash with the library (coordinates_scaled, contains, cone_subset,
 cone_equal, torsion_summary) are meant to be used qualified: oracles.contains.
@@ -21,18 +22,47 @@ cone_equal, torsion_summary) are meant to be used qualified: oracles.contains.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
 from hassecones.carousel import Carousel
-from hassecones.cones import HRepCone, MembershipCertificate, SubsetCertificate, VRepCone
-from hassecones.errors import DimensionMismatch, DimensionTooLarge, InternalCheckError
+from hassecones.cones import MembershipCertificate, _canonical_rows
+from hassecones.errors import DimensionMismatch, DimensionTooLarge, InternalCheckError, InvariantError
 from hassecones.hasse import Weight, check_weight, hasse_matrix
 from hassecones.intlinalg import bareiss_determinant, content, dot, primitive
-from hassecones.strata import PicardSummary, StratumLabel, picard_relations
+from hassecones.strata import PicardSummary, StratumLabel
 
 MAX_DD_DIMENSION = 16
+
+
+# ---------------------------------------------------------------------------
+# Cones in one representation
+
+
+@dataclass(frozen=True)
+class HRepCone:
+    """Cone cut out by normals: {x : a . x >= 0 for every row a}."""
+
+    dim: int
+    normals: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def from_rows(cls, rows, dim: int) -> "HRepCone":
+        return cls(dim, _canonical_rows(rows, dim))
+
+
+@dataclass(frozen=True)
+class VRepCone:
+    """Cone generated by rays: {sum lambda_j r_j : lambda_j >= 0}."""
+
+    dim: int
+    rays: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def from_rows(cls, rows, dim: int) -> "VRepCone":
+        return cls(dim, _canonical_rows(rows, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +170,7 @@ def _solver(c: Carousel) -> tuple[tuple[tuple[int, ...], ...], int]:
 
     Normalized so the returned denominator is positive: y = (adj @ k) / den.
     """
-    adj, det = adjugate_with_det(hasse_matrix(c).rows)
+    adj, det = adjugate_with_det(hasse_matrix(c))
     if det < 0:
         adj = tuple(tuple(-a for a in row) for row in adj)
         det = -det
@@ -245,20 +275,23 @@ def _as_fractions(x, dim: int) -> tuple[Fraction, ...]:
 
 
 def contains(cone, x) -> MembershipCertificate:
-    """Exact membership of a rational vector in an H- or V-represented cone."""
-    if isinstance(cone, HRepCone):
-        vec = _as_fractions(x, cone.dim)
-        slacks = tuple(sum(a * v for a, v in zip(row, vec)) for row in cone.normals)
-        for index, slack in enumerate(slacks):
-            if slack < 0:
-                return MembershipCertificate(False, "hrep-violation", (index, slack))
-        return MembershipCertificate(True, "hrep-slacks", slacks)
+    """Exact membership of a rational vector in an H- or V-represented cone.
+
+    A library SimplicialCone, which has both, is read through its normals.
+    """
     if isinstance(cone, VRepCone):
         vec = _as_fractions(x, cone.dim)
         ok, witness = farkas_membership(cone.rays, vec)
         if ok:
             return MembershipCertificate(True, "vrep-combination", witness)
         return MembershipCertificate(False, "vrep-separator", witness)
+    if hasattr(cone, "normals"):
+        vec = _as_fractions(x, cone.dim)
+        slacks = tuple(sum(a * v for a, v in zip(row, vec) if a and v) for row in cone.normals)
+        for index, slack in enumerate(slacks):
+            if slack < 0:
+                return MembershipCertificate(False, "hrep-violation", (index, slack))
+        return MembershipCertificate(True, "hrep-slacks", slacks)
     raise TypeError(f"not a cone: {cone!r}")
 
 
@@ -344,14 +377,26 @@ def farkas_membership(rays, x: tuple[Fraction, ...]):
 # Subset and equality
 
 
+@dataclass(frozen=True)
+class SubsetCertificate:
+    """Outcome of cone_subset: per-ray membership certificates in order."""
+
+    holds: bool
+    ray_certificates: tuple[tuple[tuple[int, ...], MembershipCertificate], ...]
+
+    def __bool__(self) -> bool:
+        return self.holds
+
+
 def _as_vrep(cone) -> VRepCone:
-    return cone if isinstance(cone, VRepCone) else dd_h_to_v(cone)
+    """The cone's own rays when it has them (a SimplicialCone does), else double description."""
+    return VRepCone(cone.dim, cone.rays) if hasattr(cone, "rays") else dd_h_to_v(cone)
 
 
 def cone_subset(inner, outer) -> SubsetCertificate:
     """Is every generator of `inner` contained in `outer`?
 
-    `inner` is converted to rays if needed; membership in `outer` uses its
+    `inner` is converted to rays if it has none; membership in `outer` uses its
     native representation (no conversion, so H-rep outers have no dimension
     cap).  Sound because cones are closed under nonnegative combinations.
     """
@@ -371,7 +416,29 @@ def cone_equal(a, b) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
+# Picard relations and the Smith normal form
+
+
+def picard_relations(c: Carousel, T: StratumLabel, locus: str = "open") -> tuple[tuple[int, ...], ...]:
+    """Integer relation rows among the omega_tau on the stratum labelled T.
+
+    locus="open": one row per embedding, sign +n_tau for tau in T and -n_tau
+    otherwise.  locus="closed": only the rows for tau in T are forced.
+    """
+    if T.size != c.d:
+        raise InvariantError(f"stratum has ambient size {T.size}, carousel degree {c.d}")
+    if locus not in ("open", "closed"):
+        raise InvariantError(f"locus must be 'open' or 'closed', got {locus!r}")
+    rows = []
+    for j in range(c.d):
+        if locus == "closed" and j not in T.members:
+            continue
+        sign = 1 if j in T.members else -1
+        row = [0] * c.d
+        row[j] += 1
+        row[c.sigma_inv_table[j]] += sign * c.n_table[j]
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def smith_normal_form(rows) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hassecones import SplittingProfile, cli, cones, errors, gfpoly
-from hassecones.cli import MAX_BRIDGE_POWER, UsageError, main, render, run
+from hassecones.cli import MAX_BRIDGE_POWER, MAX_WEIGHT_BITS, UsageError, main, render, run
 from hassecones.profile import profile_from_data
 from hassecones.selftest import MAX_PANEL_DEGREE
 
@@ -30,6 +30,16 @@ OVER_LIMIT_ARGVS = [
     ["reduce", "--profile", INERT, f"--weight=[-{OVER_LIMIT},0]"],
     ["selftest", "--panel", '[{"p": %s, "loci": [{"e": 1, "f": 2}]}]' % OVER_LIMIT],
     ["bridge", "--profile", '{"p":3,"loci":[{"e":1,"f":2}]}', "--weight=1,2", "--tau", "0", "--r", "10000"],
+]
+# Inputs CPython can parse whose reports it could not print: weights whose
+# Hasse coordinates or fibre degree pass 4,300 digits over a large prime, and
+# a total degree of 8,001 digits.
+BIG_P = 2**64 - 59
+BIG_INERT = json.dumps({"p": BIG_P, "loci": [{"e": 1, "f": 2}]})
+UNPRINTABLE_ARGVS = [
+    ["reduce", "--profile", BIG_INERT, "--weight=-%s,0" % ("9" * 4300)],
+    ["bridge", "--profile", BIG_INERT, "--weight=%s,0" % ("9" * 4000), "--tau", "0", "--r", "64"],
+    ["profile", "--profile", '{"p": 2, "loci": [{"e": 1%s, "f": 1%s}]}' % ("0" * 4000, "0" * 4000)],
 ]
 
 
@@ -211,7 +221,7 @@ def test_usage_errors_exit_2():
         ["profile", "--profile", "@/no/such/file.json"],
         ["profile", "--profile", "@bad\x00path"],  # open() raises ValueError, not OSError
         ["profile", "--profile", "[" * 100_000],  # nesting beyond the recursion limit
-    ] + OVER_LIMIT_ARGVS
+    ] + OVER_LIMIT_ARGVS + UNPRINTABLE_ARGVS[:2]
     for argv in cases:
         report, code = run(argv)
         assert code == 2, (argv, report)
@@ -228,13 +238,36 @@ def test_bridge_power_cap_names_cap_and_value():
     assert "65" in report["error"]["message"] and "r <= 64" in report["error"]["message"]
 
 
+def test_weight_cap_names_cap_and_value():
+    assert MAX_WEIGHT_BITS == 10_000
+    at_cap, above = 2**MAX_WEIGHT_BITS - 1, 2**MAX_WEIGHT_BITS
+    inert_64 = json.dumps({"p": BIG_P, "loci": [{"e": 1, "f": 64}]})
+    zeros = ",0" * 63
+    # at the cap the longest integers of each report still print
+    for argv in (
+        ["reduce", "--profile", inert_64, f"--weight=-{at_cap}{zeros}"],
+        ["bridge", "--profile", BIG_INERT, f"--weight={at_cap},0", "--tau", "0", "--r", "64"],
+    ):
+        report, code = run(argv)
+        assert code == 0, argv[0]
+        assert json.loads(render(report, args_csv=False))["exit_status"] == 0
+    for argv in (
+        ["reduce", "--profile", inert_64, f"--weight=-{above}{zeros}"],
+        ["bridge", "--profile", BIG_INERT, f"--weight=0,{above}", "--tau", "0", "--r", "64"],
+    ):
+        report, code = run(argv)
+        assert code == 2, argv[0]
+        assert report["error"]["type"] == "UsageError"
+        message = report["error"]["message"]
+        assert "10001 bits" in message and "capped at 10000 bits" in message
+
+
 # The README's exit-code list, by error class.
 EXIT_STATUS = {
     errors.SchemaError: 2,
     errors.ForeignEmbedding: 2,
     errors.DimensionMismatch: 2,
     errors.DimensionTooLarge: 2,
-    errors.NotReducible: 2,
     errors.SingletonOrbit: 2,
     errors.MultiplierNotDividing: 2,
     UsageError: 2,
@@ -274,6 +307,7 @@ def test_invariant_errors_exit_3():
         ["profile", "--profile", '{"p": 4, "loci": [{"e": 2, "f": 1}]}'],
         ["profile", "--profile", '{"p": 2, "loci": [{"e": 0, "f": 1}]}'],
         ["profile", "--minpoly", "[-8,-2,-1,1]", "--p", "2"],  # Dedekind rejects
+        UNPRINTABLE_ARGVS[2],
     ]
     for argv in cases:
         report, code = run(argv)
@@ -480,6 +514,9 @@ def argvs(draw):
 @example(OVER_LIMIT_ARGVS[1])
 @example(OVER_LIMIT_ARGVS[2])
 @example(OVER_LIMIT_ARGVS[3])
+@example(UNPRINTABLE_ARGVS[0])
+@example(UNPRINTABLE_ARGVS[1])
+@example(UNPRINTABLE_ARGVS[2])
 @example(["reduce", "--profile", INERT, "-h"])
 def test_any_argv_gives_one_report(argv):
     out, err = io.StringIO(), io.StringIO()

@@ -2,11 +2,13 @@
 
 The library writes the rays of C^min and the normals of C^Hasse down in
 closed form.  Double description and the Farkas simplex, kept in
-tests/oracles.py, are the independent reference: the closed forms must equal
-their output, and their own audits still run here (sampled nonnegative
-combinations of the computed rays satisfy every input inequality, and
-membership through the H-representation agrees with the exact Farkas check
-on the V-representation).
+tests/oracles.py with the single-representation cones HRepCone and VRepCone
+they act on, are the independent reference: the closed forms must equal
+their output, the chain read and `==` must agree with the oracle's subset
+and equality, and the oracles' own audits still run here (sampled
+nonnegative combinations of the computed rays satisfy every input
+inequality, and membership through the H-representation agrees with the
+exact Farkas check on the V-representation).
 """
 
 import random
@@ -17,26 +19,24 @@ import pytest
 from hassecones import (
     DimensionMismatch,
     DimensionTooLarge,
-    HRepCone,
     InternalCheckError,
     InvariantError,
     SimplicialCone,
-    VRepCone,
     Weight,
     build_carousel,
-    cone_equal,
-    cone_subset,
+    cone_chain,
     contains,
     hasse_cone,
     hasse_contains,
     hasse_coordinates,
     min_cone,
-    split_equality_report,
+    split_criterion,
     std_cone,
 )
 
 from helpers import carousel_of, exhaustive_profiles, hasse_columns, panel_carousels, weight_box
 import oracles
+from oracles import HRepCone, VRepCone
 
 
 def test_min_cone_rows_worked_example():
@@ -125,7 +125,7 @@ def test_dimension_cap_applies_to_dd_only():
     with pytest.raises(DimensionTooLarge):
         oracles.dd_h_to_v(big)
     # membership through the H-representation has no cap
-    assert contains(big, tuple(1 for _ in range(17))).member
+    assert oracles.contains(big, tuple(1 for _ in range(17))).member
 
 
 def test_closed_forms_equal_dd_oracle_exhaustive():
@@ -151,12 +151,12 @@ def test_simplicial_cone_checks_its_pairing():
 
 
 def test_membership_needs_normals():
-    # a bare V-representation has no membership test in the library; the
-    # Farkas simplex that decided it lives on as a test oracle
+    # the library decides membership in its SimplicialCone only; the Farkas
+    # simplex and the H-representation routes live on as test oracles
     with pytest.raises(TypeError):
         contains(VRepCone(2, ((1, 0), (0, 1))), (1, 1))
     with pytest.raises(TypeError):
-        cone_subset(HRepCone(2, ((1, 0),)), HRepCone(2, ((1, 0),)))
+        contains(HRepCone(2, ((1, 0),)), (1, 1))
 
 
 def test_normals_validation():
@@ -165,7 +165,9 @@ def test_normals_validation():
     with pytest.raises(DimensionMismatch):
         HRepCone.from_rows([(1, 0, 0)], dim=2)
     with pytest.raises(DimensionMismatch):
-        contains(HRepCone.from_rows([(1, 0)], dim=2), (1, 2, 3))
+        oracles.contains(HRepCone.from_rows([(1, 0)], dim=2), (1, 2, 3))
+    with pytest.raises(DimensionMismatch):
+        contains(std_cone(carousel_of(2, [(2, 1)])), (1, 2, 3))
 
 
 def test_rows_are_deduplicated_under_positive_scaling():
@@ -223,7 +225,7 @@ def test_membership_routes_agree_on_random_points():
             x = tuple(rng.randint(-6, 6) for _ in range(c.d))
             via_coords = hasse_contains(c, Weight(x)).member
             via_farkas = oracles.contains(cone_v, x).member
-            via_rows = contains(cone_h, x).member
+            via_rows = oracles.contains(cone_h, x).member
             via_closed_form = contains(cone, x).member
             assert via_coords == via_farkas == via_rows == via_closed_form, (c.profile, x)
 
@@ -250,11 +252,11 @@ def test_dd_soundness_on_random_cones():
             for ray in rays:
                 weight = rng.randint(0, 3)
                 point = [v + weight * r for v, r in zip(point, ray)]
-            assert contains(cone, point).member
+            assert oracles.contains(cone, point).member
         # H-rep and V-rep membership verdicts agree on random points
         for _ in range(10):
             x = tuple(rng.randint(-4, 4) for _ in range(dim))
-            assert contains(cone, x).member == oracles.contains(VRepCone(dim, rays), x).member
+            assert oracles.contains(cone, x).member == oracles.contains(VRepCone(dim, rays), x).member
 
 
 def test_dd_round_trip_is_the_same_cone():
@@ -275,39 +277,65 @@ def test_dd_round_trip_is_the_same_cone():
 
 def test_cone_subset_worked_examples():
     c = carousel_of(2, [(2, 1)])
-    assert cone_subset(min_cone(c), std_cone(c)).holds
+    assert oracles.cone_subset(min_cone(c), std_cone(c)).holds
+    assert cone_chain(min_cone(c), hasse_cone(c)) == (True, True)
 
-    verdict = cone_subset(hasse_cone(c), std_cone(c))
+    verdict = oracles.cone_subset(hasse_cone(c), std_cone(c))
     assert not verdict.holds
     failing = [ray for ray, cert in verdict.ray_certificates if not cert.member]
     # Both Hasse rays leave the orthant: each has one negative coordinate.
     assert failing == [(-1, 2), (1, -1)]
+    # read the other way round, the chain fails at both ends
+    assert cone_chain(hasse_cone(c), min_cone(c)) == (False, False)
 
 
 def test_cone_equal_when_totally_split():
     c = carousel_of(3, [(1, 1), (1, 1)])
-    assert cone_equal(min_cone(c), hasse_cone(c))
+    assert oracles.cone_equal(min_cone(c), hasse_cone(c))
+    assert min_cone(c) == hasse_cone(c)
 
 
 def test_split_equality_worked_examples():
-    report = split_equality_report(carousel_of(3, [(1, 1), (1, 1)]))
-    assert (report.is_totally_split, report.cones_equal) == (True, True)
-    report = split_equality_report(carousel_of(2, [(2, 1)]))
-    assert (report.is_totally_split, report.cones_equal) == (False, False)
-    report = split_equality_report(carousel_of(2, [(1, 2)]))
-    assert (report.is_totally_split, report.cones_equal) == (False, False)
+    for p, pairs, equal in ((3, [(1, 1), (1, 1)], True), (2, [(2, 1)], False), (2, [(1, 2)], False)):
+        c = carousel_of(p, pairs)
+        assert (c.profile.is_totally_split(), min_cone(c) == hasse_cone(c)) == (equal, equal)
+        assert split_criterion(c, min_cone(c), hasse_cone(c))
+        # a wrong verdict either way is caught
+        other = min_cone(carousel_of(2, [(2, 1)])) if equal else min_cone(c)
+        assert not split_criterion(c, min_cone(c), other)
+
+
+def _chain_reads(c):
+    """The library's chain read, the oracle's subset verdicts, each also swapped."""
+    lower, middle, upper = min_cone(c), std_cone(c), hasse_cone(c)
+    library = cone_chain(lower, upper) + cone_chain(upper, lower)
+    oracle = (
+        oracles.cone_subset(lower, middle).holds,
+        oracles.cone_subset(middle, upper).holds,
+        oracles.cone_subset(upper, middle).holds,
+        oracles.cone_subset(middle, lower).holds,
+    )
+    return library, oracle
 
 
 def test_chain_and_split_criterion_small_profiles():
     for profile in exhaustive_profiles((2, 3), dmax=5):
         c = build_carousel(profile)
-        lower = min_cone(c)
-        middle = std_cone(c)
-        upper = hasse_cone(c)
-        assert cone_subset(lower, middle).holds, profile
-        assert cone_subset(middle, upper).holds, profile
-        report = split_equality_report(c)
-        assert report.consistent, profile
+        library, oracle = _chain_reads(c)
+        assert library[:2] == (True, True), profile
+        assert library == oracle, profile
+        assert split_criterion(c, min_cone(c), hasse_cone(c)), profile
+
+
+def test_chain_read_equals_oracle_subset():
+    # swapped, the read is C^Hasse in C^st and C^st in C^min: true only when split
+    for profile in exhaustive_profiles((2, 3, 5), dmax=8):
+        c = build_carousel(profile)
+        library, oracle = _chain_reads(c)
+        assert library == oracle == (True, True) + (profile.is_totally_split(),) * 2, profile
+    c = carousel_of(2**64 - 59, [(1, 64)])
+    library, oracle = _chain_reads(c)
+    assert library == oracle == (True, True, False, False)
 
 
 def test_split_equality_agrees_with_generic_cone_equal():
@@ -327,7 +355,7 @@ def test_split_equality_agrees_with_generic_cone_equal():
         expected = oracles.cone_equal(upper, lower)
         assert expected == profile.is_totally_split(), profile
         assert (min_cone(c) == hasse_cone(c)) == expected, profile
-        assert split_equality_report(c).cones_equal == expected, profile
+        assert split_criterion(c, min_cone(c), hasse_cone(c)), profile
 
 
 def test_min_cone_weights_agree_with_box_scan():
@@ -345,4 +373,4 @@ def test_certificate_boolean_coercion():
     c = carousel_of(2, [(2, 1)])
     assert bool(hasse_contains(c, Weight((1, 1))))
     assert not bool(hasse_contains(c, Weight((-1, 0))))
-    assert bool(cone_subset(min_cone(c), std_cone(c)))
+    assert bool(oracles.cone_subset(min_cone(c), std_cone(c)))

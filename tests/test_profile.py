@@ -63,6 +63,9 @@ def test_rejects_degree_above_cap():
         profile_of(2, [(1, MAX_DEGREE + 1)])
     # exactly at the cap is fine
     assert profile_of(2, [(1, MAX_DEGREE)]).degree == MAX_DEGREE
+    # a degree too long to print is refused by naming the cap alone
+    with pytest.raises(InvariantError, match=f"^total degree must be at most {MAX_DEGREE}$"):
+        profile_of(2, [(10**4000, 10**4000)])
 
 
 def test_rejects_prime_at_or_above_64_bits():

@@ -20,7 +20,6 @@ from hassecones import (
     Embedding,
     InMinCone,
     InvariantError,
-    NotReducible,
     Vanishing,
     Weight,
     build_carousel,
@@ -32,7 +31,6 @@ from hassecones import (
     in_min_cone,
     make_decomposition,
     pareto_maximal_decompositions,
-    reduce_step,
     reducible_directions,
 )
 
@@ -41,6 +39,7 @@ from helpers import (
     carousel_of,
     floor_frac,
     random_profile,
+    reduce_step,
     weight_box,
 )
 
@@ -78,7 +77,7 @@ def test_reduce_step_worked_examples():
 
 def test_reduce_step_requires_reducibility():
     c = carousel_of(2, [(2, 1)])
-    with pytest.raises(NotReducible):
+    with pytest.raises(ValueError):
         reduce_step(c, Weight((0, 0)), Embedding(0, 0, 1))
 
 
@@ -94,8 +93,8 @@ def test_reduce_step_decrements_one_hasse_coordinate():
             continue
         tau = rng.choice(directions)
         j = c.index_of(tau)
-        before = hasse_coordinates(c, k).entries
-        after = hasse_coordinates(c, reduce_step(c, k, tau)).entries
+        before = hasse_coordinates(c, k)
+        after = hasse_coordinates(c, reduce_step(c, k, tau))
         expected = tuple(v - 1 if i == j else v for i, v in enumerate(before))
         assert after == expected
         checked += 1
@@ -180,7 +179,7 @@ def test_greedy_never_exhausts_budget_on_sweeps():
             # (none at all when the sum is below -1: a coordinate is negative)
             outcome = greedy_reduce(c, k)
             assert isinstance(outcome, (InMinCone, Vanishing)), (p, pairs, tuple(k))
-            bound = floor_frac(sum(hasse_coordinates(c, k).entries)) + 1
+            bound = floor_frac(sum(hasse_coordinates(c, k))) + 1
             assert len(outcome.steps) <= max(0, bound), (p, pairs, tuple(k))
 
 
@@ -229,7 +228,7 @@ def test_integral_obstruction_inside_rational_cone():
     c = carousel_of(2, [(1, 2)])
     k = Weight((0, 1))
     assert hasse_contains(c, k).member
-    assert hasse_coordinates(c, k).entries == (Fraction(2, 3), Fraction(1, 3))
+    assert hasse_coordinates(c, k) == (Fraction(2, 3), Fraction(1, 3))
     assert enumerate_min_decompositions(c, k) == ()
     outcome = greedy_reduce(c, k)
     assert isinstance(outcome, Vanishing)

@@ -1,7 +1,9 @@
 """Stratum labels, relation lattices, torsion, fibres.
 
-The Smith normal form is no longer library code; its tests run against the
-copy in tests/oracles.py, which is the reference for the closed-form torsion.
+The relation rows and their Smith normal form are no longer library code;
+their tests run against the copies in tests/oracles.py, which are the
+reference for the closed-form torsion.  The closure of a stratum is walked
+by tests/helpers.py.
 """
 
 import random
@@ -17,9 +19,7 @@ from hassecones import (
     StratumLabel,
     Weight,
     build_carousel,
-    closure_set,
     fibre_degree,
-    picard_relations,
     reducible_directions,
     stratum_dimension,
     theorem_bridge,
@@ -28,6 +28,7 @@ from hassecones import (
 
 from helpers import (
     carousel_of,
+    closure_set,
     exhaustive_profiles,
     fraction_determinant,
     panel_carousels,
@@ -35,7 +36,7 @@ from helpers import (
     weight_box,
 )
 import oracles
-from oracles import invariant_factors, smith_normal_form
+from oracles import invariant_factors, picard_relations, smith_normal_form
 
 MERSENNE_61 = 2**61 - 1
 
