@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import itertools
 import json
@@ -268,7 +269,13 @@ def _cmd_selftest(args) -> tuple[dict, int]:
     return payload, 0 if all_passed else 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    Parsing leaves the parser unchanged, and argparse looks up sys.stdout and
+    sys.stderr when it prints, so one parser serves every invocation.
+    """
     parser = argparse.ArgumentParser(
         prog="hassecones",
         description="Exact weight combinatorics of mod-p Hilbert modular forms.",

@@ -2,14 +2,26 @@
 
 Polynomials are tuples of ints in [0, p), ascending degree, with no trailing
 zeros; the zero polynomial is the empty tuple.  On top of the arithmetic sit
-squarefree decomposition (characteristic p, with the p-th root step),
-distinct-degree factorization, Cantor-Zassenhaus equal-degree splitting with a
-seeded generator, Dedekind's p-maximality criterion, and the derivation of a
-splitting profile from a minimal polynomial.
+squarefree decomposition (characteristic p, with the p-th root step), the
+residue ring GF(p)[x]/(f), distinct-degree factorization, Cantor-Zassenhaus
+equal-degree splitting with a seeded generator, Dedekind's p-maximality
+criterion, and the derivation of a splitting profile from a minimal
+polynomial.
+
+`Residues` holds each element of GF(p)[x]/(f) as one Python int, its
+coefficients packed into byte-aligned slots (Kronecker substitution), so a
+product of two residues is one big-int multiplication and the reduction mod f
+a sum of small multiples of precomputed packed rows x^(n+k) mod f.
+Distinct-degree factorization raises x to the p-th power once and then reads
+every x^(p^d) off the Frobenius matrix, the packed rows x^(ip) mod f, as one
+linear combination (von zur Gathen & Shoup, "Computing Frobenius maps and
+factoring polynomials", 1992); equal-degree splitting takes its powers and
+traces in the same ring.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 
@@ -102,18 +114,6 @@ def gcd(a: Poly, b: Poly, p: int) -> Poly:
     return monic(a, p)
 
 
-def powmod(a: Poly, e: int, m: Poly, p: int) -> Poly:
-    """a**e modulo the polynomial m."""
-    result = mod(ONE, m, p)
-    a = mod(a, m, p)
-    while e:
-        if e & 1:
-            result = mod(mul(result, a, p), m, p)
-        a = mod(mul(a, a, p), m, p)
-        e >>= 1
-    return result
-
-
 def derivative(a: Poly, p: int) -> Poly:
     return trim(i * c % p for i, c in enumerate(a) if i >= 1)
 
@@ -161,20 +161,97 @@ def squarefree_decomposition(f: Poly, p: int) -> list[tuple[Poly, int]]:
     return sorted(out.items(), key=lambda item: (item[1], item[0]))
 
 
+class Residues:
+    """The ring GF(p)[x]/(f) for monic f of degree n >= 1; an element is one int.
+
+    The element with coefficients c_0 .. c_(n-1) in [0, p) is the sum of
+    c_i << (8 * width * i).  A slot of `width` bytes holds
+    2 bitlen(p) + bitlen(2n) + 1 bits: a slot of a product of two elements is
+    at most n (p-1)^2, the reduction adds at most (n-1) (p-1)^2, and
+    (2n - 1) (p-1)^2 < 2^(2 bitlen(p) + bitlen(2n)), so no slot carries into
+    the next before the coefficients are read back mod p.  A linear
+    combination of at most 2n elements with coefficients in [0, p), such as
+    the Frobenius matrix applied to a residue, fits the same way.
+    """
+
+    def __init__(self, f: Poly, p: int):
+        n = degree(f)
+        self.f, self.p, self.n = f, p, n
+        self.width = (2 * p.bit_length() + (2 * n).bit_length() + 1 + 7) // 8
+        self._shift = 8 * self.width * n
+        self._low = (1 << self._shift) - 1
+        self.one = 1
+        # rows[k] = x^(n+k) mod f for k = 0 .. n-2, the reduction matrix
+        row = [-c % p for c in f[:n]]
+        rows = []
+        for _ in range(n - 1):
+            rows.append(self._pack(row))
+            top = row[-1]
+            row = [(prev - top * c) % p for prev, c in zip([0] + row[:-1], f)]
+        self._rows = rows
+
+    def _pack(self, coeffs) -> int:
+        w = self.width
+        return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in coeffs), "little")
+
+    def _slots(self, packed: int, count: int) -> list[int]:
+        """The first `count` slots of a nonnegative packed int, each reduced mod p."""
+        w, p = self.width, self.p
+        raw = packed.to_bytes(w * count, "little")
+        return [int.from_bytes(raw[i : i + w], "little") % p for i in range(0, w * count, w)]
+
+    def element(self, a: Poly) -> int:
+        """The residue of the polynomial a."""
+        return self._pack(mod(a, self.f, self.p))
+
+    def poly(self, packed: int) -> Poly:
+        """The polynomial of an element, or of a linear combination of elements as above."""
+        return trim(self._slots(packed, self.n))
+
+    def mul(self, a: int, b: int) -> int:
+        product = a * b
+        high = self._slots(product >> self._shift, self.n - 1)
+        reduced = (product & self._low) + sum(map(operator.mul, high, self._rows))
+        return self._pack(self._slots(reduced, self.n))
+
+    def pow(self, a: int, e: int) -> int:
+        """a**e by left-to-right square-and-multiply; e >= 0."""
+        if e == 0:
+            return self.one
+        result = a
+        for bit in bin(e)[3:]:
+            result = self.mul(result, result)
+            if bit == "1":
+                result = self.mul(result, a)
+        return result
+
+
 def distinct_degree_factorization(f: Poly, p: int) -> list[tuple[Poly, int]]:
-    """Squarefree monic f -> [(product of irreducible factors of degree d, d)]."""
+    """Squarefree monic f -> [(product of irreducible factors of degree d, d)].
+
+    h runs through x^(p^d) mod f; each next power is h^p = sum h_i x^(ip),
+    one linear combination of the Frobenius rows x^(ip) mod f.  Reducing mod
+    f rather than the shrinking cofactor leaves gcd(h - x, rest) unchanged,
+    because rest divides f.
+    """
     out = []
-    h = mod(X, f, p)
     rest = f
+    n = degree(f)
+    if n >= 2:
+        ring = Residues(f, p)
+        xp = ring.pow(ring.element(X), p)
+        frobenius = [ring.one]
+        for _ in range(n - 1):
+            frobenius.append(ring.mul(frobenius[-1], xp))
+    h = mod(X, f, p)
     d = 0
     while degree(rest) >= 2 * (d + 1):
         d += 1
-        h = powmod(h, p, rest, p)
+        h = ring.poly(sum(map(operator.mul, h, frobenius)))
         g = gcd(sub(h, X, p), rest, p)
         if degree(g) > 0:
             out.append((g, d))
             rest = divmod_poly(rest, g, p)[0]
-            h = mod(h, rest, p)
     if degree(rest) > 0:
         out.append((rest, degree(rest)))
     return out
@@ -189,6 +266,7 @@ def equal_degree_factorization(f: Poly, d: int, p: int, rng: random.Random) -> l
     n = degree(f)
     if n == d:
         return [f]
+    ring = Residues(f, p)
     while True:
         a = _random_poly(n - 1, p, rng)
         if degree(a) < 1:
@@ -196,17 +274,17 @@ def equal_degree_factorization(f: Poly, d: int, p: int, rng: random.Random) -> l
         g = gcd(a, f, p)
         if 0 < degree(g) < n:
             break
+        t = ring.element(a)
         if p % 2 == 1:
-            b = powmod(a, (p**d - 1) // 2, f, p)
+            b = ring.poly(ring.pow(t, (p**d - 1) // 2))
             g = gcd(sub(b, ONE, p), f, p)
         else:
             # Trace map replaces the odd-characteristic power trick.
-            b = ZERO
-            t = mod(a, f, p)
+            trace = 0
             for _ in range(d):
-                b = add(b, t, p)
-                t = mod(mul(t, t, p), f, p)
-            g = gcd(b, f, p)
+                trace += t
+                t = ring.mul(t, t)
+            g = gcd(ring.poly(trace), f, p)
         if 0 < degree(g) < n:
             break
     other = divmod_poly(f, g, p)[0]

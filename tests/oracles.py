@@ -14,10 +14,14 @@ run:
   * membership in a V-representation by an exact phase-I simplex over
     Fraction with Bland's rule, and subset/equality built on it;
   * the Picard relation rows of a stratum, their Smith normal form with
-    unimodular transforms, and torsion orders read off its transform.
+    unimodular transforms, and torsion orders read off its transform;
+  * factorization over GF(p) by one schoolbook `powmod` per degree and per
+    split, the reference for the packed residue ring and its Frobenius
+    matrix.
 
 Names that clash with the library (coordinates_scaled, contains, cone_subset,
-cone_equal, torsion_summary) are meant to be used qualified: oracles.contains.
+cone_equal, torsion_summary, distinct_degree_factorization,
+equal_degree_factorization) are meant to be used qualified: oracles.contains.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from hassecones import gfpoly
 from hassecones.carousel import Carousel
 from hassecones.cones import MembershipCertificate, _canonical_rows
 from hassecones.errors import DimensionMismatch, DimensionTooLarge, InternalCheckError, InvariantError
@@ -598,3 +603,68 @@ def torsion_summary(c: Carousel, T: StratumLabel, locus: str = "open") -> Picard
     return PicardSummary(T, locus, facs, orders)
 
 
+# ---------------------------------------------------------------------------
+# Factorization over GF(p), one powmod per degree
+
+
+def powmod(a: gfpoly.Poly, e: int, m: gfpoly.Poly, p: int) -> gfpoly.Poly:
+    """a**e modulo the polynomial m, by schoolbook products and remainders."""
+    result = gfpoly.mod(gfpoly.ONE, m, p)
+    a = gfpoly.mod(a, m, p)
+    while e:
+        if e & 1:
+            result = gfpoly.mod(gfpoly.mul(result, a, p), m, p)
+        a = gfpoly.mod(gfpoly.mul(a, a, p), m, p)
+        e >>= 1
+    return result
+
+
+def distinct_degree_factorization(f: gfpoly.Poly, p: int) -> list[tuple[gfpoly.Poly, int]]:
+    """Squarefree monic f -> [(product of irreducible factors of degree d, d)]."""
+    out = []
+    h = gfpoly.mod(gfpoly.X, f, p)
+    rest = f
+    d = 0
+    while gfpoly.degree(rest) >= 2 * (d + 1):
+        d += 1
+        h = powmod(h, p, rest, p)
+        g = gfpoly.gcd(gfpoly.sub(h, gfpoly.X, p), rest, p)
+        if gfpoly.degree(g) > 0:
+            out.append((g, d))
+            rest = gfpoly.divmod_poly(rest, g, p)[0]
+            h = gfpoly.mod(h, rest, p)
+    if gfpoly.degree(rest) > 0:
+        out.append((rest, gfpoly.degree(rest)))
+    return out
+
+
+def equal_degree_factorization(f: gfpoly.Poly, d: int, p: int, rng) -> list[gfpoly.Poly]:
+    """Split monic squarefree f, all of whose irreducible factors have degree d.
+
+    Draws from rng exactly as the library does, so both split alike.
+    """
+    n = gfpoly.degree(f)
+    if n == d:
+        return [f]
+    while True:
+        a = gfpoly._random_poly(n - 1, p, rng)
+        if gfpoly.degree(a) < 1:
+            continue
+        g = gfpoly.gcd(a, f, p)
+        if 0 < gfpoly.degree(g) < n:
+            break
+        if p % 2 == 1:
+            b = powmod(a, (p**d - 1) // 2, f, p)
+            g = gfpoly.gcd(gfpoly.sub(b, gfpoly.ONE, p), f, p)
+        else:
+            # Trace map replaces the odd-characteristic power trick.
+            b = gfpoly.ZERO
+            t = gfpoly.mod(a, f, p)
+            for _ in range(d):
+                b = gfpoly.add(b, t, p)
+                t = gfpoly.mod(gfpoly.mul(t, t, p), f, p)
+            g = gfpoly.gcd(b, f, p)
+        if 0 < gfpoly.degree(g) < n:
+            break
+    other = gfpoly.divmod_poly(f, g, p)[0]
+    return equal_degree_factorization(g, d, p, rng) + equal_degree_factorization(other, d, p, rng)

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -117,6 +118,25 @@ def test_profile_report_from_minpoly():
     payload = _payload(["profile", "--minpoly", "[-1,-1,1]", "--p", "5"])
     assert payload["profile"] == {"p": 5, "loci": [{"e": 2, "f": 1}]}
     assert payload["mod_p_factorization"] == [{"coefficients": [2, 1], "multiplicity": 2}]
+
+
+def test_minpoly_degree_64_within_budget():
+    # A random monic degree-64 polynomial over p = 2^61 - 1: with the
+    # Frobenius matrix it factors in about 0.15 s, with one powmod per
+    # degree it took 3.4 s (2-vCPU x86-64 machine, Python 3.11).
+    rng = random.Random(2)
+    g = [rng.randrange(-(10**6), 10**6) for _ in range(64)] + [1]
+    p = 2**61 - 1
+    start = perf_counter()
+    report, code = run(["profile", "--minpoly=" + ",".join(map(str, g)), "--p", str(p)])
+    elapsed = perf_counter() - start
+    assert code == 0, report
+    product = gfpoly.ONE
+    for factor in report["payload"]["mod_p_factorization"]:
+        for _ in range(factor["multiplicity"]):
+            product = gfpoly.mul(product, tuple(factor["coefficients"]), p)
+    assert product == gfpoly.normalize(g, p)
+    assert elapsed < 1.5
 
 
 def test_bridge_report_worked_example():
@@ -423,6 +443,24 @@ def test_reports_are_deterministic_across_processes():
     second = subprocess.run(argv, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.endswith(b"}\n")
+
+
+def test_one_parser_serves_every_invocation(capsys):
+    # The parser is built once per process; a usage error and --help before
+    # two commands leave every report, stderr and status as a fresh process
+    # prints them.
+    cli._build_parser.cache_clear()
+    argvs = [
+        ["reduce", "--profile", RAMIFIED, "--weight", "[1,2]", "--bogus"],
+        ["-h"],
+        ["cones", "--profile", INERT],
+        ["profile", "--minpoly=-1,-1,1", "--p", "5"],
+    ]
+    for argv in argvs:
+        status = main(argv)
+        out, err = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "hassecones", *argv], capture_output=True, text=True)
+        assert (out, err, status) == (fresh.stdout, fresh.stderr, fresh.returncode)
 
 
 def test_main_prints_report_and_returns_status(capsys):

@@ -5,6 +5,7 @@ test (x^{p^n} = x mod f, plus gcd conditions at maximal proper subfield
 degrees), so the factorizer never grades its own homework.
 """
 
+import itertools
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from hassecones import (
 )
 from hassecones.gfpoly import (
     ONE,
+    Residues,
     add,
     degree,
     derivative,
@@ -31,15 +33,17 @@ from hassecones.gfpoly import (
     monic,
     mul,
     normalize,
-    powmod,
     pth_root,
     squarefree_decomposition,
     sub,
     distinct_degree_factorization,
 )
+import oracles
+from oracles import powmod
 
 X = (0, 1)
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+RING_PRIMES = (2, 3, 5, 7, 2**61 - 1, 2**64 - 59)
 
 
 def _random_monic(rng, deg, p):
@@ -118,6 +122,44 @@ def test_powmod_agrees_with_repeated_multiplication():
     for e in range(10):
         assert powmod(X, e, f, p) == mod(acc, f, p)
         acc = mul(acc, X, p)
+
+
+@pytest.mark.parametrize("p", RING_PRIMES)
+def test_residue_ring_matches_schoolbook(p):
+    # Packed products and powers against schoolbook mul/mod and the oracle
+    # powmod, on the zero element and on inputs of degree below n, n and
+    # 2n + 2.
+    rng = random.Random(p)
+    for n in (1, 2, 3, 17, 64):
+        f = _random_monic(rng, n, p)
+        ring = Residues(f, p)
+        inputs = [(), ONE, X] + [_random_monic(rng, deg, p) for deg in (n - 1, n, 2 * n + 2)]
+        for a in inputs:
+            for b in inputs:
+                assert ring.poly(ring.mul(ring.element(a), ring.element(b))) == mod(mul(a, b, p), f, p)
+        d = n if p < 8 else 2
+        for a in ((), inputs[-1]):
+            for e in (0, 1, 2, p, p**d - 1, rng.randrange(p**d)):
+                assert ring.poly(ring.pow(ring.element(a), e)) == powmod(a, e, f, p)
+
+
+def test_factorization_stages_equal_oracle_exhaustive():
+    # Every squarefree piece of a monic polynomial of degree <= 6 is one of
+    # these, so both stages are compared on every input factor_mod_p can
+    # hand them below degree 7.  Over GF(2) the degrees run to 10: up to
+    # degree 6 only one block, the product of the two irreducible cubics,
+    # has two factors of degree above 1 for the trace to split.
+    for p, top in ((2, 10), (3, 6), (5, 6)):
+        for deg in range(1, top + 1):
+            for low in itertools.product(range(p), repeat=deg):
+                f = low + (1,)
+                if degree(gcd(f, derivative(f, p), p)) > 0:
+                    continue
+                blocks = distinct_degree_factorization(f, p)
+                assert blocks == oracles.distinct_degree_factorization(f, p)
+                for block, d in blocks:
+                    ours = equal_degree_factorization(block, d, p, random.Random(deg))
+                    assert ours == oracles.equal_degree_factorization(block, d, p, random.Random(deg))
 
 
 def test_evaluate_and_derivative():
