@@ -15,6 +15,17 @@ Frobenius layer at the top:
 so each locus is a single sigma-orbit of length e*f.  The multiplier n_tau is
 p exactly when i = 1 and 1 otherwise; around any orbit the multipliers
 multiply to p**f.
+
+In canonical positions all of this is arithmetic.  Each locus is a
+contiguous block of e*f positions (`Carousel.blocks`), tau_{beta,i} sits at
+offset beta*e + i - 1 of its block, and the orbit visits the block in
+canonical order: sigma adds 1 to the offset cyclically, and n_tau = p
+exactly at the offsets divisible by e.  The tables are built from that rule,
+and every closed form that walks an orbit walks a block.  The partial Hasse
+invariant at position j has weight h_j = n_j e_{sigma^{-1} j} - e_j, a
+column with two nonzero entries (`hasse_column`); the C^min normal
+n_j e_j - e_{sigma^{-1} j} (`min_normal`) is the same two entries with their
+positions exchanged.
 """
 
 from __future__ import annotations
@@ -53,10 +64,11 @@ def parse_embedding_label(text: str) -> Embedding:
 
 @dataclass(frozen=True)
 class Carousel:
-    """A profile together with its ordered embeddings and shift tables."""
+    """A profile together with its ordered embeddings, orbit blocks and shift tables."""
 
     profile: SplittingProfile
     embeddings: tuple[Embedding, ...]
+    blocks: tuple[range, ...]
     sigma_table: tuple[int, ...]
     sigma_inv_table: tuple[int, ...]
     n_table: tuple[int, ...]
@@ -73,36 +85,42 @@ class Carousel:
         locus = loci[tau.locus]
         if not (0 <= tau.beta < locus.f) or not (1 <= tau.i <= locus.e):
             raise ForeignEmbedding(f"{tau.label()}: no such embedding for (e={locus.e}, f={locus.f})")
-        offset = sum(l.degree for l in loci[: tau.locus])
-        return offset + tau.beta * locus.e + (tau.i - 1)
+        return self.blocks[tau.locus][tau.beta * locus.e + tau.i - 1]
+
+    def hasse_column(self, j: int) -> tuple[int, ...]:
+        """h_j = n_j e_{sigma^{-1} j} - e_j; where sigma fixes j (a split locus) the entry is p - 1."""
+        return self._two_entries(self.sigma_inv_table[j], j, j)
+
+    def min_normal(self, j: int) -> tuple[int, ...]:
+        """n_j e_j - e_{sigma^{-1} j}: the C^min normal at j, h_j with its two positions exchanged."""
+        return self._two_entries(j, self.sigma_inv_table[j], j)
+
+    def _two_entries(self, at_n: int, at_minus_one: int, j: int) -> tuple[int, ...]:
+        vec = [0] * self.d
+        vec[at_n] += self.n_table[j]
+        vec[at_minus_one] -= 1
+        return tuple(vec)
 
 
 def build_carousel(profile: SplittingProfile) -> Carousel:
     embeddings: list[Embedding] = []
+    blocks = []
+    sigma_table: list[int] = []
+    sigma_inv_table: list[int] = []
+    n_table: list[int] = []
     for locus_index, locus in enumerate(profile.loci):
-        for beta in range(locus.f):
-            for i in range(1, locus.e + 1):
-                embeddings.append(Embedding(locus_index, beta, i))
-
-    position = {emb: pos for pos, emb in enumerate(embeddings)}
-    sigma_table = []
-    n_table = []
-    for emb in embeddings:
-        locus = profile.loci[emb.locus]
-        if emb.i < locus.e:
-            image = Embedding(emb.locus, emb.beta, emb.i + 1)
-        else:
-            image = Embedding(emb.locus, (emb.beta + 1) % locus.f, 1)
-        sigma_table.append(position[image])
-        n_table.append(profile.p if emb.i == 1 else 1)
-
-    sigma_inv_table = [0] * len(embeddings)
-    for source, target in enumerate(sigma_table):
-        sigma_inv_table[target] = source
-
+        block = range(len(embeddings), len(embeddings) + locus.degree)
+        blocks.append(block)
+        for t in range(locus.degree):
+            beta, i = divmod(t, locus.e)
+            embeddings.append(Embedding(locus_index, beta, i + 1))
+            n_table.append(profile.p if i == 0 else 1)
+        sigma_table += [*block[1:], block[0]]
+        sigma_inv_table += [block[-1], *block[:-1]]
     return Carousel(
         profile=profile,
         embeddings=tuple(embeddings),
+        blocks=tuple(blocks),
         sigma_table=tuple(sigma_table),
         sigma_inv_table=tuple(sigma_inv_table),
         n_table=tuple(n_table),
@@ -122,26 +140,8 @@ def n_of(c: Carousel, tau: Embedding) -> int:
 
 
 def orbit(c: Carousel, tau: Embedding) -> tuple[Embedding, ...]:
-    """The full sigma-orbit of tau, starting at tau."""
-    start = c.index_of(tau)
-    out = [start]
-    cur = c.sigma_table[start]
-    while cur != start:
-        out.append(cur)
-        cur = c.sigma_table[cur]
-    return tuple(c.embeddings[j] for j in out)
-
-
-def locus_orbits(c: Carousel) -> tuple[tuple[int, ...], ...]:
-    """Canonical positions of each locus, walked as the sigma-orbit of its first embedding."""
-    out = []
-    start = 0
-    for locus in c.profile.loci:
-        walk = [start]
-        cur = c.sigma_table[start]
-        while cur != start:
-            walk.append(cur)
-            cur = c.sigma_table[cur]
-        out.append(tuple(walk))
-        start += locus.degree
-    return tuple(out)
+    """The full sigma-orbit of tau, starting at tau: its locus block, rotated."""
+    j = c.index_of(tau)
+    block = c.blocks[tau.locus]
+    t = j - block.start
+    return tuple(c.embeddings[i] for i in (*block[t:], *block[:t]))

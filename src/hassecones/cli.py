@@ -344,13 +344,18 @@ def _csv_payload(subcommand: str, payload: dict) -> str | None:
 
 def run(argv: list[str]) -> tuple[dict, int]:
     """Execute one invocation; returns (report, exit_code) without printing."""
+    return _run(argv)[:2]
+
+
+def _run(argv: list[str]) -> tuple[dict, int, bool]:
+    """run, plus the parsed --csv flag (False when the argv does not parse)."""
     parser = _build_parser()
     try:
         # stdout carries only the report, so argparse's --help goes to stderr
         with contextlib.redirect_stdout(sys.stderr):
             args = parser.parse_args(argv)
     except SystemExit as exc:
-        return {"schema_version": SCHEMA_VERSION, "error": "usage", "exit_status": 2}, int(exc.code or 2)
+        return {"schema_version": SCHEMA_VERSION, "error": "usage", "exit_status": 2}, int(exc.code or 2), False
 
     command_echo = {"subcommand": args.subcommand, "argv": list(argv)}
     try:
@@ -378,7 +383,7 @@ def run(argv: list[str]) -> tuple[dict, int]:
             "command": command_echo,
             "error": {"type": type(exc).__name__, "message": str(exc)},
             "exit_status": status,
-        }, status
+        }, status, args.csv
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -386,7 +391,7 @@ def run(argv: list[str]) -> tuple[dict, int]:
         "payload": payload,
         "exit_status": status,
     }
-    return report, status
+    return report, status, args.csv
 
 
 def render(report: dict, args_csv: bool) -> str:
@@ -400,8 +405,7 @@ def render(report: dict, args_csv: bool) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    report, status = run(argv)
-    wants_csv = "--csv" in argv
+    report, status, wants_csv = _run(argv)
     sys.stdout.write(render(report, wants_csv))
     return status
 

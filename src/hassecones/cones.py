@@ -35,9 +35,9 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .carousel import Carousel, locus_orbits
+from .carousel import Carousel
 from .errors import DimensionMismatch, InternalCheckError, InvariantError
-from .hasse import Weight, check_weight, coordinates_scaled
+from .hasse import Weight, coordinates_scaled
 from .intlinalg import dot, primitive
 
 
@@ -61,7 +61,9 @@ class SimplicialCone:
     every normal is checked to vanish on all rays but one, to be positive on
     that one, and to pick a ray no other normal picks: the pairing matrix is
     then a permutation of a positive diagonal, which proves both describe the
-    same cone.
+    same cone.  Each pairing is summed over the nonzero entries of the
+    sparser vector; the C^min normals, the C^Hasse rays and the unit vectors
+    have at most two, so those cones check in O(d^2).
     """
 
     dim: int
@@ -71,9 +73,11 @@ class SimplicialCone:
     def __post_init__(self) -> None:
         if not (len(self.rays) == len(self.normals) == self.dim):
             raise InternalCheckError("a simplicial cone needs d rays and d normals")
+        rays = [(ray, _support(ray)) for ray in self.rays]
         picked = set()
         for normal in self.normals:
-            pairing = [dot(normal, ray) for ray in self.rays]
+            support = _support(normal)
+            pairing = [_pair(normal, support, ray, ray_support) for ray, ray_support in rays]
             hits = [i for i, v in enumerate(pairing) if v]
             if min(pairing) < 0 or len(hits) != 1 or hits[0] in picked:
                 raise InternalCheckError(f"normal {normal} is not dual to exactly one ray of its own")
@@ -84,33 +88,41 @@ class SimplicialCone:
         return cls(dim, _canonical_rows(rays, dim), _canonical_rows(normals, dim))
 
 
-def _rotations(c: Carousel):
-    """(walk, c) per embedding rho: walk[j] = sigma^j rho, c[j] = n_{sigma rho} ... n_{sigma^j rho}."""
-    for orbit in locus_orbits(c):
-        for t in range(len(orbit)):
-            walk = orbit[t:] + orbit[:t]
-            prods = [1]
-            for j in walk[1:]:
-                prods.append(prods[-1] * c.n_table[j])
-            yield walk, prods
+def _support(vec) -> list[tuple[int, int]]:
+    return [(i, x) for i, x in enumerate(vec) if x]
 
 
-def _on_orbit(d: int, walk, values) -> tuple[int, ...]:
-    vec = [0] * d
-    for j, v in zip(walk, values):
-        vec[j] = v
-    return tuple(vec)
+def _pair(a, a_support, b, b_support) -> int:
+    """a . b, summed over the nonzero entries of the sparser of the two."""
+    if len(b_support) < len(a_support):
+        a_support, b = b_support, a
+    return sum(x * b[i] for i, x in a_support)
+
+
+def _orbit_products(c: Carousel):
+    """Per embedding rho, the vector with c_j = n_{sigma rho} ... n_{sigma^j rho} at sigma^j rho.
+
+    The orbit of rho is its locus block from rho on, wrapping to the block's start.
+    """
+    for block in c.blocks:
+        m = len(block)
+        for t in range(m):
+            vec = [0] * c.d
+            prod = 1
+            for j in range(m):
+                pos = block[(t + j) % m]
+                prod *= c.n_table[pos] if j else 1
+                vec[pos] = prod
+            yield vec
 
 
 def min_cone(c: Carousel) -> SimplicialCone:
     """C^min; split loci contribute (p - 1) e_tau rows, normalized to e_tau."""
-    normals = []
-    for j in range(c.d):
-        row = [0] * c.d
-        row[j] += c.n_table[j]
-        row[c.sigma_inv_table[j]] -= 1
-        normals.append(row)
-    rays = [_on_orbit(c.d, walk, [prods[-1] // v for v in prods]) for walk, prods in _rotations(c)]
+    normals = map(c.min_normal, range(c.d))
+    rays = []
+    for prods in _orbit_products(c):
+        top = max(prods)  # c_{m-1}: the partial products only grow
+        rays.append([top // v if v else 0 for v in prods])
     return SimplicialCone.from_rows(rays, normals, c.d)
 
 
@@ -121,13 +133,8 @@ def std_cone(c: Carousel) -> SimplicialCone:
 
 def hasse_cone(c: Carousel) -> SimplicialCone:
     """C^Hasse, one primitive ray per Hasse weight."""
-    rays = []
-    for j in range(c.d):
-        ray = [0] * c.d
-        ray[c.sigma_inv_table[j]] += c.n_table[j]
-        ray[j] -= 1
-        rays.append(ray)
-    normals = [_on_orbit(c.d, walk, prods) for walk, prods in _rotations(c)]
+    rays = map(c.hasse_column, range(c.d))
+    normals = _orbit_products(c)
     return SimplicialCone.from_rows(rays, normals, c.d)
 
 
@@ -179,7 +186,6 @@ def contains(cone: SimplicialCone, x) -> MembershipCertificate:
 
 def hasse_contains(c: Carousel, k: Weight) -> MembershipCertificate:
     """Membership of a weight in C^Hasse via the coordinate sign check."""
-    check_weight(c, k)
     nums, den = coordinates_scaled(c, k)
     for index, num in enumerate(nums):
         if num < 0:

@@ -86,7 +86,7 @@ def divmod_poly(a: Poly, b: Poly, p: int) -> tuple[Poly, Poly]:
     """Quotient and remainder; b must be nonzero."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(b[-1], p - 2, p) if b[-1] != 1 else 1
+    inv_lead = pow(b[-1], -1, p) if b[-1] != 1 else 1
     rem = list(a)
     q = [0] * max(0, len(a) - len(b) + 1)
     for shift in range(len(a) - len(b), -1, -1):
@@ -105,7 +105,7 @@ def mod(a: Poly, b: Poly, p: int) -> Poly:
 def monic(a: Poly, p: int) -> Poly:
     if not a or a[-1] == 1:
         return a
-    return scale(a, pow(a[-1], p - 2, p), p)
+    return scale(a, pow(a[-1], -1, p), p)
 
 
 def gcd(a: Poly, b: Poly, p: int) -> Poly:

@@ -22,7 +22,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .carousel import Carousel, Embedding, locus_orbits
+from .carousel import Carousel, Embedding
 from .errors import DimensionMismatch, InternalCheckError, SchemaError
 from .profile import SplittingProfile
 
@@ -71,24 +71,12 @@ def check_weight(c: Carousel, k: Weight) -> None:
 
 def hasse_weight(c: Carousel, tau: Embedding) -> Weight:
     """Weight of the partial Hasse invariant at tau."""
-    j = c.index_of(tau)
-    coords = [0] * c.d
-    coords[c.sigma_inv_table[j]] += c.n_table[j]
-    coords[j] -= 1
-    return Weight(tuple(coords))
+    return Weight(c.hasse_column(c.index_of(tau)))
 
 
 def hasse_matrix(c: Carousel) -> tuple[tuple[int, ...], ...]:
-    """Rows of the d x d matrix whose column at position tau is hasse_weight(tau).
-
-    Built by summation so that a split locus (e = f = 1, sigma fixing tau)
-    lands both terms on the diagonal: entry p - 1.
-    """
-    rows = [[0] * c.d for _ in range(c.d)]
-    for j in range(c.d):
-        rows[c.sigma_inv_table[j]][j] += c.n_table[j]
-        rows[j][j] -= 1
-    return tuple(tuple(row) for row in rows)
+    """Rows of the d x d matrix whose column at position tau is hasse_weight(tau)."""
+    return tuple(zip(*map(c.hasse_column, range(c.d))))
 
 
 def hasse_lattice_index(profile: SplittingProfile) -> int:
@@ -108,7 +96,8 @@ def coordinates_scaled(c: Carousel, k: Weight) -> tuple[tuple[int, ...], int]:
     """Hasse coordinates as (numerators, common positive denominator).
 
     The denominator is hasse_lattice_index.  On the orbit rho, sigma rho, ...,
-    sigma^{m-1} rho of a locus with residue degree f, going once around gives
+    sigma^{m-1} rho of a locus with residue degree f, which is its block of
+    positions in canonical order, going once around gives
 
         (p**f - 1) y_rho = sum_j c_j k_{sigma^j rho},   c_j = n_{sigma rho} ... n_{sigma^j rho},
 
@@ -117,23 +106,23 @@ def coordinates_scaled(c: Carousel, k: Weight) -> tuple[tuple[int, ...], int]:
     """
     check_weight(c, k)
     den = hasse_lattice_index(c.profile)
-    n = c.n_table
-    nums = [0] * c.d
-    for orbit, locus in zip(locus_orbits(c), c.profile.loci):
+    nums = []
+    for block, locus in zip(c.blocks, c.profile.loci):
         q = c.profile.p**locus.f - 1
-        m = len(orbit)
-        # ys[t] = q * y at orbit[t]; the sum around the orbit in Horner form.
+        m = len(block)
+        ks = k.coords[block.start : block.stop]
+        n = c.n_table[block.start : block.stop]
+        # ys[t] = q * y at offset t; the sum around the orbit in Horner form.
         acc = 0
         for t in range(m - 1, 0, -1):
-            acc = n[orbit[t]] * (k[orbit[t]] + acc)
-        ys = [k[orbit[0]] + acc] + [0] * (m - 1)
+            acc = n[t] * (ks[t] + acc)
+        ys = [ks[0] + acc] + [0] * (m - 1)
         for t in range(m - 1, 0, -1):
-            ys[t] = n[orbit[(t + 1) % m]] * ys[(t + 1) % m] - q * k[orbit[t]]
-        if n[orbit[1 % m]] * ys[1 % m] - ys[0] != q * k[orbit[0]]:
-            raise InternalCheckError(f"orbit solve fails row {orbit[0]} of M y = k")
+            ys[t] = n[(t + 1) % m] * ys[(t + 1) % m] - q * ks[t]
+        if n[1 % m] * ys[1 % m] - ys[0] != q * ks[0]:
+            raise InternalCheckError(f"orbit solve fails row {block.start} of M y = k")
         scale = den // q
-        for j, y in zip(orbit, ys):
-            nums[j] = y * scale
+        nums += [y * scale for y in ys]
     return tuple(nums), den
 
 

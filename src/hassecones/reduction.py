@@ -2,7 +2,10 @@
 
 A direction tau is reducible at k when n_tau * k_tau < k_{sigma^{-1} tau};
 subtracting the Hasse weight h_tau then preserves the space of forms, and in
-Hasse coordinates it decrements y_tau by exactly 1.  Greedy reduction walks
+Hasse coordinates it decrements y_tau by exactly 1.  h_tau has two nonzero
+entries (Carousel.hasse_column), so every walk below keeps its weight as a
+list, moves those two entries per step, and builds a Weight only for what
+it returns.  Greedy reduction walks
 earliest-reducible-first until it lands in C^min or detects a negative Hasse
 coordinate of the current weight (a weight-level vanishing certificate),
 after at most floor(sum_tau y_tau(k)) + 1 steps (see greedy_reduce).
@@ -19,26 +22,30 @@ from fractions import Fraction
 
 from .carousel import Carousel, Embedding
 from .errors import InvariantError
-from .hasse import Weight, check_weight, coordinates_scaled, hasse_weight
+from .hasse import Weight, check_weight, coordinates_scaled
 
 
-def _reducible_indices(c: Carousel, coords: tuple[int, ...]) -> list[int]:
-    return [
-        j
-        for j in range(c.d)
-        if c.n_table[j] * coords[j] < coords[c.sigma_inv_table[j]]
-    ]
+def _reducible(c: Carousel, coords):
+    """Positions j with n_j k_j < k_{sigma^{-1} j}, ascending: the C^min normals negative on k."""
+    n, sigma_inv = c.n_table, c.sigma_inv_table
+    return (j for j in range(c.d) if n[j] * coords[j] < coords[sigma_inv[j]])
+
+
+def _subtract_hasse(c: Carousel, w: list[int], j: int, mult: int = 1) -> None:
+    """w -= mult * h_j in place; only the two entries of h_j move."""
+    w[c.sigma_inv_table[j]] -= mult * c.n_table[j]
+    w[j] += mult
 
 
 def reducible_directions(c: Carousel, k: Weight) -> tuple[Embedding, ...]:
     """Embeddings tau with n_tau k_tau < k_{sigma^{-1} tau}, canonical order."""
     check_weight(c, k)
-    return tuple(c.embeddings[j] for j in _reducible_indices(c, k.coords))
+    return tuple(c.embeddings[j] for j in _reducible(c, k.coords))
 
 
 def in_min_cone(c: Carousel, k: Weight) -> bool:
     check_weight(c, k)
-    return not _reducible_indices(c, k.coords)
+    return next(_reducible(c, k.coords), None) is None
 
 
 @dataclass(frozen=True)
@@ -57,14 +64,12 @@ def make_decomposition(c: Carousel, k: Weight, a) -> Decomposition:
         raise InvariantError(f"exponent vector has length {len(a)}, expected {c.d}")
     if any(v < 0 for v in a):
         raise InvariantError("decomposition exponents must be nonnegative")
-    w = k
+    w = list(k.coords)
     for j, mult in enumerate(a):
-        if mult:
-            h = hasse_weight(c, c.embeddings[j])
-            w = Weight(tuple(x - mult * y for x, y in zip(w.coords, h.coords)))
-    if not in_min_cone(c, w):
+        _subtract_hasse(c, w, j, mult)
+    if next(_reducible(c, w), None) is not None:
         raise InvariantError(f"w = {tuple(w)} is not in the minimal cone")
-    return Decomposition(w, a)
+    return Decomposition(Weight(tuple(w)), a)
 
 
 @dataclass(frozen=True)
@@ -103,27 +108,25 @@ def greedy_reduce(c: Carousel, k: Weight) -> ReductionOutcome:
     coordinate, hence sum_tau y_tau, by exactly 1.  So after s steps the sum
     is sum_tau y_tau(k) - s, and step s + 1 needs it to be >= 0: the walk
     takes at most floor(sum_tau y_tau(k)) + 1 steps, and none when a
-    coordinate of y(k) is negative.
+    coordinate of y(k) is negative.  A step lowers only y_tau, so after it
+    only that coordinate can have turned negative.
     """
-    check_weight(c, k)
     nums, den = coordinates_scaled(c, k)
+    for j, num in enumerate(nums):
+        if num < 0:
+            return Vanishing(j, Fraction(num, den), k, ())
     nums = list(nums)
-    current = k
+    w = list(k.coords)
+    a = [0] * c.d
     steps: list[int] = []
-    while True:
-        for j, num in enumerate(nums):
-            if num < 0:
-                return Vanishing(j, Fraction(num, den), current, tuple(steps))
-        reducible = _reducible_indices(c, current.coords)
-        if not reducible:
-            a = [0] * c.d
-            for j in steps:
-                a[j] += 1
-            return InMinCone(make_decomposition(c, k, a), tuple(steps))
-        j = reducible[0]
-        current = current - hasse_weight(c, c.embeddings[j])
-        nums[j] -= den
+    while (j := next(_reducible(c, w), None)) is not None:
+        _subtract_hasse(c, w, j)
+        a[j] += 1
         steps.append(j)
+        nums[j] -= den
+        if nums[j] < 0:
+            return Vanishing(j, Fraction(nums[j], den), Weight(tuple(w)), tuple(steps))
+    return InMinCone(make_decomposition(c, k, a), tuple(steps))
 
 
 def enumerate_min_decompositions(c: Carousel, k: Weight) -> tuple[Decomposition, ...]:
@@ -133,32 +136,29 @@ def enumerate_min_decompositions(c: Carousel, k: Weight) -> tuple[Decomposition,
     and also when the cone membership is rational-only, i.e. y(k) >= 0 but no
     integral exponent choice lands in C^min.
     """
-    check_weight(c, k)
     nums, den = coordinates_scaled(c, k)
     if any(num < 0 for num in nums):
         return ()
     bounds = [num // den for num in nums]
-    columns = [hasse_weight(c, c.embeddings[j]).coords for j in range(c.d)]
     d = c.d
-    sigma_inv = c.sigma_inv_table
-    n_table = c.n_table
     found: list[Decomposition] = []
     a = [0] * d
+    w = list(k.coords)
 
-    def descend(j: int, w: list[int]) -> None:
+    def descend(j: int) -> None:
         if j == d:
-            if all(n_table[t] * w[t] >= w[sigma_inv[t]] for t in range(d)):
+            if next(_reducible(c, w), None) is None:
                 found.append(Decomposition(Weight(tuple(w)), tuple(a)))
             return
-        col = columns[j]
-        descend(j + 1, w)
+        descend(j + 1)
         for step in range(bounds[j]):
             a[j] = step + 1
-            w = [x - y for x, y in zip(w, col)]
-            descend(j + 1, w)
+            _subtract_hasse(c, w, j)
+            descend(j + 1)
+        _subtract_hasse(c, w, j, -bounds[j])
         a[j] = 0
 
-    descend(0, list(k.coords))
+    descend(0)
     return tuple(found)
 
 

@@ -125,18 +125,15 @@ def torsion_summary(c: Carousel, T: StratumLabel, locus: str = "open") -> Picard
     ones = 0
     cyclic = []
     orders = [0] * c.d
-    start = 0
-    for locus_data in c.profile.loci:
-        span = range(start, start + locus_data.degree)
-        start += locus_data.degree
-        hits = sum(1 for j in span if j in T.members)
-        if locus == "closed" and hits < len(span):
+    for block, locus_data in zip(c.blocks, c.profile.loci):
+        hits = sum(1 for j in block if j in T.members)
+        if locus == "closed" and hits < len(block):
             ones += hits
             continue
         a = p**locus_data.f - (-1) ** hits
-        ones += len(span) - 1
+        ones += len(block) - 1
         cyclic.append(a)
-        for j in span:
+        for j in block:
             orders[j] = a
     facs = (1,) * ones + tuple(_divisor_chain(cyclic))
     return PicardSummary(T, locus, facs, tuple(orders))
@@ -145,7 +142,7 @@ def torsion_summary(c: Carousel, T: StratumLabel, locus: str = "open") -> Picard
 def within_torsion_bound(c: Carousel, summary: PicardSummary) -> bool:
     """Whether every omega_tau has finite order dividing p**(2f) - 1, f that of tau's locus."""
     p = c.profile.p
-    bounds = [p ** (2 * locus.f) - 1 for locus in c.profile.loci for _ in range(locus.degree)]
+    bounds = [p ** (2 * locus.f) - 1 for block, locus in zip(c.blocks, c.profile.loci) for _ in block]
     return all(order != 0 and bound % order == 0 for order, bound in zip(summary.torsion_orders, bounds))
 
 

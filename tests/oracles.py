@@ -6,6 +6,9 @@ routines it used before are kept here unchanged, so the closed forms are
 checked against an independent algorithm and the routines' own tests still
 run:
 
+  * the carousel tables built from the Embedding rule for sigma, through
+    a position dict, and each locus orbit walked by sigma: the reference
+    for the arithmetic block rule of build_carousel;
   * fraction-free linear algebra: rank, Bareiss solve, integer adjugate;
   * the Hasse coordinate solve through a cached integer adjugate;
   * double description (Fukuda & Prodon, "Double description method
@@ -32,14 +35,54 @@ from functools import lru_cache
 from math import gcd
 
 from hassecones import gfpoly
-from hassecones.carousel import Carousel
+from hassecones.carousel import Carousel, Embedding
 from hassecones.cones import MembershipCertificate, _canonical_rows
 from hassecones.errors import DimensionMismatch, DimensionTooLarge, InternalCheckError, InvariantError
 from hassecones.hasse import Weight, check_weight, hasse_matrix
 from hassecones.intlinalg import bareiss_determinant, content, dot, primitive
+from hassecones.profile import SplittingProfile
 from hassecones.strata import PicardSummary, StratumLabel
 
 MAX_DD_DIMENSION = 16
+
+
+# ---------------------------------------------------------------------------
+# The carousel from the Embedding rule
+
+
+def carousel_tables(profile: SplittingProfile):
+    """(embeddings, sigma_table, sigma_inv_table, n_table, orbits) by the Embedding rule.
+
+    sigma(tau_{beta,i}) = tau_{beta,i+1} for i < e and tau_{beta+1 mod f, 1}
+    for i = e, looked up through a position dict; n_tau = p exactly when
+    i = 1; orbits[P] walks sigma from the first embedding of locus P.
+    """
+    embeddings = [
+        Embedding(index, beta, i)
+        for index, locus in enumerate(profile.loci)
+        for beta in range(locus.f)
+        for i in range(1, locus.e + 1)
+    ]
+    position = {emb: pos for pos, emb in enumerate(embeddings)}
+    sigma_table = []
+    for emb in embeddings:
+        locus = profile.loci[emb.locus]
+        if emb.i < locus.e:
+            image = Embedding(emb.locus, emb.beta, emb.i + 1)
+        else:
+            image = Embedding(emb.locus, (emb.beta + 1) % locus.f, 1)
+        sigma_table.append(position[image])
+    sigma_inv_table = [0] * len(embeddings)
+    for source, target in enumerate(sigma_table):
+        sigma_inv_table[target] = source
+    n_table = [profile.p if emb.i == 1 else 1 for emb in embeddings]
+    orbits = []
+    for index in range(len(profile.loci)):
+        walk = [position[Embedding(index, 0, 1)]]
+        while sigma_table[walk[-1]] != walk[0]:
+            walk.append(sigma_table[walk[-1]])
+        orbits.append(tuple(walk))
+    return tuple(embeddings), tuple(sigma_table), tuple(sigma_inv_table), tuple(n_table), tuple(orbits)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from hassecones import (
 )
 from hassecones.carousel import parse_embedding_label
 
-from helpers import carousel_of, random_profile
+import oracles
+from helpers import carousel_of, exhaustive_profiles, random_profile
 
 
 def test_sigma_on_ramified_quadratic():
@@ -114,3 +115,23 @@ def test_sigma_structure_on_random_profiles():
                 prod *= n_of(c, tau)
             assert prod == profile.p**locus.f
             offset += locus.degree
+
+
+def test_block_tables_equal_embedding_rule_reference():
+    # The tables are built from the block rule; the reference follows sigma
+    # on Embedding values through a position dict.
+    for profile in exhaustive_profiles((2, 3, 5), dmax=8):
+        c = build_carousel(profile)
+        embeddings, sigma_table, sigma_inv_table, n_table, orbits = oracles.carousel_tables(profile)
+        assert c.embeddings == embeddings
+        assert (c.sigma_table, c.sigma_inv_table, c.n_table) == (sigma_table, sigma_inv_table, n_table)
+        assert tuple(tuple(block) for block in c.blocks) == orbits
+        for j in range(c.d):
+            column = [0] * c.d
+            column[sigma_inv_table[j]] += n_table[j]
+            column[j] -= 1
+            normal = [0] * c.d
+            normal[j] += n_table[j]
+            normal[sigma_inv_table[j]] -= 1
+            assert c.hasse_column(j) == tuple(column)
+            assert c.min_normal(j) == tuple(normal)

@@ -221,6 +221,17 @@ def test_csv_flag_leaves_json_commands_untouched():
     assert json.loads(text)["payload"]["determinant"] == -1
 
 
+def test_csv_is_rendered_from_the_parsed_flag(capsys):
+    # argparse accepts any unambiguous prefix of --csv; the output follows
+    # what it parsed, not the literal spelling.
+    for flag in ("--csv", "--cs", "--c"):
+        assert main(["picard", "--profile", INERT, flag]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0][0] == "stratum" and len(rows) == 1 + 4
+    assert main(["cones", "--profile", INERT, "--c"]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["determinant"] == -3
+
+
 # ---------------------------------------------------------------------------
 # Exit codes
 

@@ -306,3 +306,20 @@ def test_enumeration_order_is_deterministic():
     assert first == second
     exponents = [dec.a for dec in first]
     assert exponents == sorted(exponents)
+
+
+def test_greedy_builds_a_constant_number_of_weights(monkeypatch):
+    # The walk keeps its weight as a list; only the returned outcome holds a
+    # Weight, however many steps the walk takes.
+    c = carousel_of(2, [(1, 2)])
+    built = []
+    check = Weight.__post_init__
+    monkeypatch.setattr(Weight, "__post_init__", lambda self: (built.append(1), check(self))[1])
+    counts = []
+    for m in (10, 1000):
+        k = Weight((-m, 2 * m))
+        built.clear()
+        outcome = greedy_reduce(c, k)
+        assert isinstance(outcome, InMinCone) and len(outcome.steps) >= m
+        counts.append(len(built))
+    assert counts[0] == counts[1] <= 2
