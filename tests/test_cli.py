@@ -567,6 +567,7 @@ def argvs(draw):
 @example(UNPRINTABLE_ARGVS[1])
 @example(UNPRINTABLE_ARGVS[2])
 @example(["reduce", "--profile", INERT, "-h"])
+@example(["picard", "--profile", INERT, "--c"])
 def test_any_argv_gives_one_report(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -574,7 +575,8 @@ def test_any_argv_gives_one_report(argv):
     assert code in {0, 2, 3, 4}
     assert "Traceback" not in err.getvalue()
     text = out.getvalue()
-    if argv[0] == "picard" and "--csv" in argv and code == 0:
+    # argparse takes any unambiguous prefix of --csv, so ask it what it parsed
+    if argv[0] == "picard" and code == 0 and cli._build_parser().parse_args(argv).csv:
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0][0] == "stratum" and len(rows) >= 2
     else:
