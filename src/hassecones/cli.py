@@ -14,10 +14,10 @@ import contextlib
 import csv
 import functools
 import io
-import itertools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import selftest as selftest_mod
 from .carousel import build_carousel
@@ -28,7 +28,15 @@ from .hasse import Weight, determinant_identity, hasse_coordinates, hasse_lattic
 from .intlinalg import bareiss_determinant
 from .profile import SplittingProfile, parse_profile, profile_from_data
 from .reduction import InMinCone, greedy_reduce, reducible_directions
-from .strata import StratumLabel, bridge_agrees, fibre_degree, stratum_dimension, torsion_summary, within_torsion_bound
+from .strata import (
+    StratumLabel,
+    bridge_agrees,
+    fibre_degree,
+    open_sweep,
+    stratum_dimension,
+    torsion_summary,
+    within_torsion_bound,
+)
 
 SCHEMA_VERSION = "1"
 MAX_SWEEP_DEGREE = 12
@@ -186,15 +194,15 @@ def _cmd_reduce(args, c, fact) -> dict:
     return payload
 
 
-def _stratum_row(c, label: StratumLabel) -> dict:
-    summary = torsion_summary(c, label, locus="open")
+def _picard_row(stratum: str, dimension: int, invariant_factors, torsion_orders, group_order, within_bound) -> dict:
+    """One row of a `picard` report; the row owns its lists."""
     return {
-        "stratum": label.bitstring(),
-        "dimension": stratum_dimension(c.d, label),
-        "invariant_factors": list(summary.invariant_factors),
-        "torsion_orders": list(summary.torsion_orders),
-        "group_order": summary.group_order,
-        "divisibility": "pass" if within_torsion_bound(c, summary) else "fail",
+        "stratum": stratum,
+        "dimension": dimension,
+        "invariant_factors": list(invariant_factors),
+        "torsion_orders": list(torsion_orders),
+        "group_order": group_order,
+        "divisibility": "pass" if within_bound else "fail",
     }
 
 
@@ -207,14 +215,22 @@ def _cmd_picard(args, c, fact) -> dict:
             raise UsageError(f"--stratum: {exc}") from exc
         if label.size != c.d:
             raise UsageError(f"--stratum has length {label.size}, profile degree is {c.d}")
-        return {"profile": profile.as_dict(), "strata": [_stratum_row(c, label)]}
+        summary = torsion_summary(c, label, locus="open")
+        row = _picard_row(
+            label.bitstring(),
+            stratum_dimension(c.d, label),
+            summary.invariant_factors,
+            summary.torsion_orders,
+            summary.group_order,
+            within_torsion_bound(c, summary),
+        )
+        return {"profile": profile.as_dict(), "strata": [row]}
     if c.d > MAX_SWEEP_DEGREE:
         raise UsageError(
             f"degree {c.d} > {MAX_SWEEP_DEGREE}: pass --stratum to pick one of the 2^d strata"
         )
-    rows = []
-    for seq in itertools.product("01", repeat=c.d):
-        rows.append(_stratum_row(c, StratumLabel.from_bitstring("".join(seq))))
+    # one torsion summary per class of per-locus parities (strata.open_sweep)
+    rows = [_picard_row(text, c.d - size, *torsion) for text, size, torsion in open_sweep(c)]
     return {"profile": profile.as_dict(), "strata": rows}
 
 
@@ -394,13 +410,48 @@ def _run(argv: list[str]) -> tuple[dict, int, bool]:
     return report, status, args.csv
 
 
+def _json_text(value, pad: str = "") -> str:
+    """value as json.dumps(value, sort_keys=True, indent=2) prints it, nested at indent pad.
+
+    Reports hold dicts with str keys, lists, tuples, str, int, bool and None.
+    Anything else, such as a float, a Fraction or an int key, raises
+    TypeError instead of printing text json.dumps might print differently.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        items = sep.join([encode_basestring_ascii(key) + ": " + _json_text(value[key], inner) for key in sorted(value)])
+        return "{\n" + inner + items + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(type(item) is int for item in value):
+            items = sep.join(map(int.__repr__, value))
+        else:
+            items = sep.join([_json_text(item, inner) for item in value])
+        return "[\n" + inner + items + "\n" + pad + "]"
+    raise TypeError(f"a report cannot hold {type(value).__name__}")
+
+
 def render(report: dict, args_csv: bool) -> str:
     subcommand = report.get("command", {}).get("subcommand")
     if args_csv and "payload" in report:
         table = _csv_payload(subcommand, report["payload"])
         if table is not None:
             return table
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return _json_text(report) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:

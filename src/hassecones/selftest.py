@@ -7,7 +7,9 @@ reducible directions, and the torsion divisor bound on all strata.  Each
 check calls the one predicate that states its invariant, in the module that
 owns the mathematics (hasse.determinant_identity, cones.cone_chain,
 cones.split_criterion, strata.bridge_agrees, strata.within_torsion_bound);
-the `cones`, `bridge` and `picard` reports use the same predicates.
+the `cones`, `bridge` and `picard` reports use the same predicates.  The
+torsion bound is checked once per class of per-locus parities
+(strata.parity_classes), the classes a full `picard` sweep reads.
 
 The `bad_hasse` hook deliberately builds the Hasse matrix with the wrong sign
 on the e_tau term so the determinant check trips; it exists as a negative
@@ -25,7 +27,7 @@ from .hasse import Weight, determinant_identity, hasse_matrix
 from .intlinalg import bareiss_determinant
 from .profile import PrimeLocus, SplittingProfile
 from .reduction import reducible_directions
-from .strata import StratumLabel, bridge_agrees, torsion_summary, within_torsion_bound
+from .strata import bridge_agrees, parity_classes, within_torsion_bound
 
 
 def _profile(p: int, pairs) -> SplittingProfile:
@@ -79,12 +81,8 @@ def _bridge_check(c) -> bool:
 
 
 def _torsion_check(c) -> bool:
-    d = c.d
-    for mask in range(2**d):
-        label = StratumLabel(d, frozenset(j for j in range(d) if mask >> j & 1))
-        if not within_torsion_bound(c, torsion_summary(c, label, locus="open")):
-            return False
-    return True
+    # the open torsion depends on a stratum only through its per-locus parities
+    return all(within_torsion_bound(c, torsion) for torsion in parity_classes(c))
 
 
 CHECKS = (

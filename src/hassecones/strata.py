@@ -19,6 +19,13 @@ omega_tau have infinite order.  The rows themselves are never built here;
 the generic Smith-form route over them is a test oracle.  within_torsion_bound
 checks the divisor bound p**(2f) - 1 on every torsion order.
 
+On the open part the torsion of T therefore depends on T only through the
+parities of |T cap P|, and the invariant factors only through the multiset
+of the a_P.  A full sweep (open_sweep) computes one summary per class of
+parities and reuses each divisor chain across the classes with the same
+multiset; the blocks are consecutive in locus order, so the 2^d bitstrings
+in lexicographic order are the product of each block's 2^|P| patterns.
+
 The fibre-degree bridge: the relevant projective bundle on the Iwahori side
 has fibre degree p**r k_tau - (p**r / n_tau) k_{sigma^{-1} tau} over the
 tau-line, and its negativity is equivalent to tau being a reducible
@@ -29,7 +36,9 @@ checks that equivalence at one (k, tau, r).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from itertools import product
+from math import gcd, prod
+from typing import NamedTuple
 
 from .carousel import Carousel, Embedding
 from .errors import InvariantError, MultiplierNotDividing, SingletonOrbit
@@ -111,6 +120,16 @@ def _divisor_chain(moduli) -> list[int]:
     return out
 
 
+def _closing_order(p: int, f: int, hits: int) -> int:
+    """a_P = p**f - (-1)**hits, the order of the cyclic group a locus of residue degree f closes up into."""
+    return p**f + 1 if hits & 1 else p**f - 1
+
+
+def _divides_bound(p: int, f: int, order: int) -> bool:
+    """Whether order is finite and divides p**(2f) - 1."""
+    return order != 0 and (p ** (2 * f) - 1) % order == 0
+
+
 def torsion_summary(c: Carousel, T: StratumLabel, locus: str = "open") -> PicardSummary:
     """Invariant factors and per-embedding torsion orders for a stratum.
 
@@ -130,7 +149,7 @@ def torsion_summary(c: Carousel, T: StratumLabel, locus: str = "open") -> Picard
         if locus == "closed" and hits < len(block):
             ones += hits
             continue
-        a = p**locus_data.f - (-1) ** hits
+        a = _closing_order(p, locus_data.f, hits)
         ones += len(block) - 1
         cyclic.append(a)
         for j in block:
@@ -139,11 +158,74 @@ def torsion_summary(c: Carousel, T: StratumLabel, locus: str = "open") -> Picard
     return PicardSummary(T, locus, facs, tuple(orders))
 
 
-def within_torsion_bound(c: Carousel, summary: PicardSummary) -> bool:
+class ParityClass(NamedTuple):
+    """The open-stratum torsion shared by every T with the same parities of |T cap P|.
+
+    The fields are those of the PicardSummary of any such T, its group order,
+    and the within_torsion_bound verdict on it.
+    """
+
+    invariant_factors: tuple[int, ...]
+    torsion_orders: tuple[int, ...]
+    group_order: int
+    within_bound: bool
+
+
+def within_torsion_bound(c: Carousel, summary: PicardSummary | ParityClass) -> bool:
     """Whether every omega_tau has finite order dividing p**(2f) - 1, f that of tau's locus."""
     p = c.profile.p
-    bounds = [p ** (2 * locus.f) - 1 for block, locus in zip(c.blocks, c.profile.loci) for _ in block]
-    return all(order != 0 and bound % order == 0 for order, bound in zip(summary.torsion_orders, bounds))
+    orders = summary.torsion_orders
+    return all(_divides_bound(p, locus.f, orders[j]) for block, locus in zip(c.blocks, c.profile.loci) for j in block)
+
+
+def parity_classes(c: Carousel) -> list[ParityClass]:
+    """The open-stratum torsion of each class, at the index whose bits, locus 0 first, are the parities.
+
+    Each divisor chain is computed once per sorted multiset of the a_P, since
+    invariant factors are unique.  On a totally split profile every stratum
+    is a class of its own, yet only d + 1 multisets occur.
+    """
+    p = c.profile.p
+    # (a_P per locus, torsion orders, verdict) of each class of the loci so
+    # far; hits even comes before odd, so a class's position is its index
+    partial = [((), (), True)]
+    for block, locus in zip(c.blocks, c.profile.loci):
+        pieces = []
+        for hits in (0, 1):
+            a = _closing_order(p, locus.f, hits)
+            pieces.append((a, (a,) * len(block), _divides_bound(p, locus.f, a)))
+        partial = [
+            (moduli + (a,), orders + block_orders, ok and block_ok)
+            for moduli, orders, ok in partial
+            for a, block_orders, block_ok in pieces
+        ]
+    ones = (1,) * (c.d - len(c.blocks))
+    chains: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+    out = []
+    for moduli, orders, ok in partial:
+        multiset = tuple(sorted(moduli))
+        if multiset not in chains:
+            chains[multiset] = (ones + tuple(_divisor_chain(multiset)), prod(multiset))
+        facs, group = chains[multiset]
+        out.append(ParityClass(facs, orders, group, ok))
+    return out
+
+
+def open_sweep(c: Carousel) -> list[tuple[str, int, ParityClass]]:
+    """(bitstring, |T|, torsion of T) for every open stratum T, bitstrings in lexicographic order.
+
+    Agrees with torsion_summary and within_torsion_bound on every T.
+    """
+    classes = parity_classes(c)
+    strata = [("", 0, 0)]
+    for block in c.blocks:
+        patterns = [("".join(bits), bits.count("1")) for bits in product("01", repeat=len(block))]
+        strata = [
+            (text + piece, size + hits, 2 * key + (hits & 1))
+            for text, size, key in strata
+            for piece, hits in patterns
+        ]
+    return [(text, size, classes[key]) for text, size, key in strata]
 
 
 def fibre_degree(c: Carousel, k: Weight, tau0: Embedding, r: int) -> int:

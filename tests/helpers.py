@@ -1,6 +1,7 @@
 """Shared test utilities: profile builders, exhaustive sweeps, exact
 linear-algebra oracles kept deliberately independent of the library code,
-and the single reduction step and stratum closure the tests walk by hand.
+the single reduction step and stratum closure the tests walk by hand, and the
+`picard` report row of one stratum as the per-label route computes it.
 
 The oracles here use plain Gaussian elimination over Fraction and blind box
 search, so that agreement with the library is a real cross-check and not the
@@ -17,6 +18,9 @@ from hassecones import (
     Weight,
     build_carousel,
     hasse_weight,
+    stratum_dimension,
+    torsion_summary,
+    within_torsion_bound,
 )
 
 # The profile panel used by the embedded selftest, as (p, pairs) specs.
@@ -235,3 +239,16 @@ def closure_set(T):
         for extra in combinations(rest, r):
             out.append(StratumLabel(T.size, T.members | set(extra)))
     return tuple(sorted(out, key=lambda label: label.bitstring()))
+
+
+def stratum_row(c, label):
+    """The `picard` report row of one open stratum, from its own torsion summary."""
+    summary = torsion_summary(c, label, locus="open")
+    return {
+        "stratum": label.bitstring(),
+        "dimension": stratum_dimension(c.d, label),
+        "invariant_factors": list(summary.invariant_factors),
+        "torsion_orders": list(summary.torsion_orders),
+        "group_order": summary.group_order,
+        "divisibility": "pass" if within_torsion_bound(c, summary) else "fail",
+    }

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from time import perf_counter
 
 import pytest
@@ -431,6 +432,75 @@ def test_cones_beyond_degree_16():
             for normal in cone["normals"]:
                 for ray in cone["rays"]:
                     assert sum(a * r for a, r in zip(normal, ray) if a) >= 0
+
+
+# ---------------------------------------------------------------------------
+# The report writer, against json.dumps as the oracle
+
+
+def _dumps(value):
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+# Quotes, backslashes, control characters, the separators JavaScript treats as
+# line ends, non-ASCII and astral characters: everything json escapes.
+ESCAPES = st.text(alphabet=st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\u2029\ufeff\U0001f600 a{}[],:'))
+# Up to 4,000 digits: CPython refuses to print an int of more than 4,300.
+HUGE_INTS = st.builds(lambda digits, sign: sign * (10**digits - 7), st.integers(1, 4000), st.sampled_from((1, -1)))
+REPORT_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), HUGE_INTS, st.text(), ESCAPES)
+REPORT_VALUES = st.recursive(
+    REPORT_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        st.dictionaries(st.one_of(st.text(), ESCAPES), children, max_size=6),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(REPORT_VALUES)
+@example({})
+@example([])
+@example(())
+@example({"a": [], "b": {}, "c": [[], {}, ()]})
+@example([True, False, None, 0, -1, 1])
+@example({"\u00e9": "\U0001f600", "": "", "\"": "\\"})
+@example([10**4000 - 1, -(10**4000 - 1)])
+def test_writer_prints_what_json_dumps_prints(value):
+    assert cli._json_text(value) == _dumps(value)
+    if isinstance(value, dict) and "command" not in value:
+        assert render(value, args_csv=False) == _dumps(value) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        1.5,
+        {"a": 0.0},
+        [1, 2, 3.0],
+        Fraction(1, 2),
+        {"a": [Fraction(3, 4)]},
+        {1: "a"},
+        {"a": 1, 2: "b"},
+        {True: 1},
+        {None: 1},
+        {"a": {"b": {3: []}}},
+        [object()],
+        {"a": {1, 2}},
+    ],
+)
+def test_writer_refuses_what_reports_never_hold(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
+def test_render_refuses_a_float_in_a_report():
+    report, code = run(["cones", "--profile", RAMIFIED])
+    report["payload"]["determinant"] = -1.0
+    with pytest.raises(TypeError):
+        render(report, args_csv=False)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,13 @@
 The relation rows and their Smith normal form are no longer library code;
 their tests run against the copies in tests/oracles.py, which are the
 reference for the closed-form torsion.  The closure of a stratum is walked
-by tests/helpers.py.
+by tests/helpers.py, which also builds the `picard` row of one stratum that
+every row of a full sweep must equal.
 """
 
+import json
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -24,7 +26,10 @@ from hassecones import (
     stratum_dimension,
     theorem_bridge,
     torsion_summary,
+    within_torsion_bound,
 )
+from hassecones import cli
+from hassecones.strata import ParityClass, PicardSummary, parity_classes
 
 from helpers import (
     carousel_of,
@@ -33,6 +38,7 @@ from helpers import (
     fraction_determinant,
     panel_carousels,
     profile_of,
+    stratum_row,
     weight_box,
 )
 import oracles
@@ -260,6 +266,68 @@ def test_torsion_closed_form_at_degree_64():
     closed = torsion_summary(c, label, locus="closed")
     assert closed.torsion_orders == (0,) * 64
     assert closed.invariant_factors == (1,) * 19
+
+
+def test_parity_classes_agree_with_torsion_summary():
+    # every open stratum reads its class: the same torsion summary and verdict
+    for profile in exhaustive_profiles((2, 3, 5), dmax=6):
+        c = build_carousel(profile)
+        classes = parity_classes(c)
+        assert len(classes) == 2 ** len(profile.loci)
+        for label in _all_strata(c.d):
+            key = 0
+            for block in c.blocks:
+                key = 2 * key + len(label.members.intersection(block)) % 2
+            summary = torsion_summary(c, label)
+            torsion = classes[key]
+            assert torsion.invariant_factors == summary.invariant_factors, (profile, label.bitstring())
+            assert torsion.torsion_orders == summary.torsion_orders
+            assert torsion.group_order == summary.group_order
+            assert torsion.within_bound == within_torsion_bound(c, summary) == within_torsion_bound(c, torsion)
+
+
+def test_torsion_bound_rejects_orders_off_the_bound():
+    # p = 2 on the inert (1, 2) locus: the bound is 2**4 - 1 = 15
+    c = carousel_of(2, [(1, 2)])
+    label = StratumLabel(2, frozenset({0}))
+    assert within_torsion_bound(c, torsion_summary(c, label))
+    for orders in ((4, 15), (15, 7), (0, 3)):
+        assert not within_torsion_bound(c, PicardSummary(label, "open", (1, 15), orders))
+        assert not within_torsion_bound(c, ParityClass((1, 15), orders, 15, False))
+
+
+# d = 7 to 12, beyond the golden corpus's d <= 6: split, inert, ramified and
+# mixed loci, the totally split d = 12 sweep where each stratum is its own
+# parity class, and the largest prime the input contract allows.
+SWEEP_PANEL = (
+    (3, ((1, 2), (1, 1), (3, 1), (1, 1))),
+    (5, ((2, 2), (1, 4))),
+    (2, ((1, 1),) * 9),
+    (7, ((2, 1), (1, 3), (5, 1))),
+    (13, ((1, 11),)),
+    (2, ((1, 1),) * 12),
+    (2**64 - 59, ((2, 2), (1, 3), (3, 1), (1, 1), (1, 1))),
+)
+
+
+@pytest.mark.parametrize("p, pairs", SWEEP_PANEL)
+def test_full_sweep_equals_the_per_stratum_rows(p, pairs):
+    c = carousel_of(p, pairs)
+    report, code = cli.run(["picard", "--profile", json.dumps(profile_of(p, pairs).as_dict())])
+    assert code == 0
+    rows = report["payload"]["strata"]
+    labels = [StratumLabel.from_bitstring("".join(bits)) for bits in product("01", repeat=c.d)]
+    assert rows == [stratum_row(c, label) for label in labels]
+    # the Smith-form route agrees on a sample of the strata
+    rng = random.Random(f"sweep {p} {pairs}")
+    for index in rng.sample(range(len(rows)), 24):
+        summary = oracles.torsion_summary(c, labels[index], "open")
+        assert rows[index]["invariant_factors"] == list(summary.invariant_factors)
+        assert rows[index]["torsion_orders"] == list(summary.torsion_orders)
+        assert rows[index]["group_order"] == summary.group_order
+    # each row owns its lists: changing one changes no other
+    lists = [row[key] for row in rows for key in ("invariant_factors", "torsion_orders")]
+    assert len({id(values) for values in lists}) == len(lists)
 
 
 def test_order_of_identity_relations():
