@@ -33,9 +33,7 @@ from .strata import (
     bridge_agrees,
     fibre_degree,
     open_sweep,
-    stratum_dimension,
     torsion_summary,
-    within_torsion_bound,
 )
 
 SCHEMA_VERSION = "1"
@@ -207,7 +205,6 @@ def _picard_row(stratum: str, dimension: int, invariant_factors, torsion_orders,
 
 
 def _cmd_picard(args, c, fact) -> dict:
-    profile = c.profile
     if args.stratum is not None:
         try:
             label = StratumLabel.from_bitstring(args.stratum)
@@ -215,23 +212,14 @@ def _cmd_picard(args, c, fact) -> dict:
             raise UsageError(f"--stratum: {exc}") from exc
         if label.size != c.d:
             raise UsageError(f"--stratum has length {label.size}, profile degree is {c.d}")
-        summary = torsion_summary(c, label, locus="open")
-        row = _picard_row(
-            label.bitstring(),
-            stratum_dimension(c.d, label),
-            summary.invariant_factors,
-            summary.torsion_orders,
-            summary.group_order,
-            within_torsion_bound(c, summary),
-        )
-        return {"profile": profile.as_dict(), "strata": [row]}
-    if c.d > MAX_SWEEP_DEGREE:
-        raise UsageError(
-            f"degree {c.d} > {MAX_SWEEP_DEGREE}: pass --stratum to pick one of the 2^d strata"
-        )
-    # one torsion summary per class of per-locus parities (strata.open_sweep)
-    rows = [_picard_row(text, c.d - size, *torsion) for text, size, torsion in open_sweep(c)]
-    return {"profile": profile.as_dict(), "strata": rows}
+        strata = [(args.stratum, len(label.members), torsion_summary(c, label, locus="open"))]
+    elif c.d > MAX_SWEEP_DEGREE:
+        raise UsageError(f"degree {c.d} > {MAX_SWEEP_DEGREE}: pass --stratum to pick one of the 2^d strata")
+    else:
+        # one torsion summary per class of per-locus parities
+        strata = open_sweep(c)
+    rows = [_picard_row(text, c.d - size, *torsion) for text, size, torsion in strata]
+    return {"profile": c.profile.as_dict(), "strata": rows}
 
 
 def _cmd_bridge(args, c, fact) -> dict:
@@ -241,6 +229,8 @@ def _cmd_bridge(args, c, fact) -> dict:
         raise UsageError("bridge requires --tau (canonical embedding index)")
     if args.r is None:
         raise UsageError("bridge requires --r")
+    if args.r < 0:
+        raise UsageError(f"--r is {args.r}; the power of p must satisfy 0 <= r <= {MAX_BRIDGE_POWER}")
     if args.r > MAX_BRIDGE_POWER:
         raise UsageError(f"--r is {args.r}; the power of p is capped at r <= {MAX_BRIDGE_POWER}")
     k = _parse_weight(args.weight)

@@ -16,15 +16,23 @@ every omega_tau over P; a_P divides p**(2f) - 1.  On the closed stratum only
 the rows for tau in T are forced: a locus inside T still closes up into
 Z/a_P, while any other locus leaves chains whose quotient is free, so its
 omega_tau have infinite order.  The rows themselves are never built here;
-the generic Smith-form route over them is a test oracle.  within_torsion_bound
-checks the divisor bound p**(2f) - 1 on every torsion order.
+the generic Smith-form route over them is a test oracle.
 
-On the open part the torsion of T therefore depends on T only through the
-parities of |T cap P|, and the invariant factors only through the multiset
-of the a_P.  A full sweep (open_sweep) computes one summary per class of
-parities and reuses each divisor chain across the classes with the same
-multiset; the blocks are consecutive in locus order, so the 2^d bitstrings
-in lexicographic order are the product of each block's 2^|P| patterns.
+Each locus thus gives one piece: its unit invariant factors, a_P (0 for a
+free locus), its block of torsion orders, and whether a_P divides the bound
+p**(2f) - 1.  One combiner joins pieces into PicardSummary tuples:
+torsion_summary one piece per locus, parity_classes the even and the odd
+piece of each.  On the open part the torsion of T depends on T only through
+the parities of |T cap P|, and the invariant factors only through the
+multiset of the a_P, so open_sweep reads one summary per parity class, with
+one divisor chain per multiset; the blocks are consecutive in locus order, so
+the 2^d bitstrings in lexicographic order are the product of each block's
+2^|P| patterns.
+
+As a_P = p**f -+ 1 divides (p**f - 1)(p**f + 1) = p**(2f) - 1, the verdict
+is "pass" on every open stratum the input contract allows: it guards against
+a wrong closed form.  within_torsion_bound checks the same bound on torsion
+orders from anywhere, such as the Smith-form oracle.
 
 The fibre-degree bridge: the relevant projective bundle on the Iwahori side
 has fibre degree p**r k_tau - (p**r / n_tau) k_{sigma^{-1} tau} over the
@@ -84,30 +92,17 @@ def _check_stratum(c: Carousel, T: StratumLabel, locus: str) -> None:
         raise InvariantError(f"locus must be 'open' or 'closed', got {locus!r}")
 
 
-@dataclass(frozen=True)
-class PicardSummary:
-    """Quotient of Z^Sigma by the relation rows of a stratum.
+class PicardSummary(NamedTuple):
+    """Quotient of Z^Sigma by the relation rows of a stratum, and its bound verdict.
 
-    torsion_orders[tau] is the order of the class of omega_tau in the
-    quotient, with 0 standing for infinite order.
+    torsion_orders[tau] is the order of the class of omega_tau; an order of 0,
+    there or in group_order, is infinite.
     """
 
-    stratum: StratumLabel
-    locus: str
     invariant_factors: tuple[int, ...]
     torsion_orders: tuple[int, ...]
-
-    @property
-    def group_order(self) -> int:
-        """Order of the full quotient group; 0 when infinite."""
-        if len(self.invariant_factors) < self.stratum.size:
-            return 0
-        out = 1
-        for v in self.invariant_factors:
-            if v == 0:
-                return 0
-            out *= v
-        return out
+    group_order: int
+    within_bound: bool
 
 
 def _divisor_chain(moduli) -> list[int]:
@@ -120,98 +115,82 @@ def _divisor_chain(moduli) -> list[int]:
     return out
 
 
-def _closing_order(p: int, f: int, hits: int) -> int:
-    """a_P = p**f - (-1)**hits, the order of the cyclic group a locus of residue degree f closes up into."""
-    return p**f + 1 if hits & 1 else p**f - 1
-
-
 def _divides_bound(p: int, f: int, order: int) -> bool:
     """Whether order is finite and divides p**(2f) - 1."""
     return order != 0 and (p ** (2 * f) - 1) % order == 0
 
 
-def torsion_summary(c: Carousel, T: StratumLabel, locus: str = "open") -> PicardSummary:
-    """Invariant factors and per-embedding torsion orders for a stratum.
+def _locus_piece(p: int, f: int, size: int, hits: int, closes: bool):
+    """(unit invariant factors, a_P, torsion orders, verdict) of a locus of size embeddings, hits in T.
 
-    Locus by locus (see the module docstring): a locus whose relations close
-    up contributes Z/a_P, |P| - 1 invariant factors 1, and order a_P for each
-    of its omega_tau; any other locus (closed stratum only) contributes one
-    invariant factor 1 per forced row and infinite order (0).  The cyclic
-    parts combine into invariant factors by the gcd/lcm normal form.
+    A locus that closes up gives Z/a_P and size - 1 unit factors; a free one
+    gives a_P = 0, infinite orders and one unit factor per forced row.
+    """
+    ones, a = (size - 1, p**f - (-1) ** hits) if closes else (hits, 0)
+    return ones, a, (a,) * size, _divides_bound(p, f, a)
+
+
+def _combine(pieces_per_locus) -> list[PicardSummary]:
+    """One summary per choice of one piece per locus, the last locus varying fastest.
+
+    The group order is the product of the a_P.  Each divisor chain is
+    computed once per sorted multiset of the nonzero a_P, since invariant
+    factors are unique: a totally split profile has 2^d choices of parity
+    but only d + 1 multisets.
+    """
+    partial = [(0, (), (), True)]
+    for pieces in pieces_per_locus:
+        partial = [
+            (ones + piece_ones, moduli + (a,), orders + piece_orders, ok and piece_ok)
+            for ones, moduli, orders, ok in partial
+            for piece_ones, a, piece_orders, piece_ok in pieces
+        ]
+    # (unit factors, *sorted a_P) -> (invariant factors, group order)
+    chains: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+    out = []
+    for ones, moduli, orders, ok in partial:
+        key = (ones, *sorted(moduli))
+        known = chains.get(key)
+        if known is None:
+            multiset = key[1:]
+            facs = (1,) * ones + tuple(_divisor_chain([a for a in multiset if a]))
+            known = chains[key] = (facs, prod(multiset))
+        out.append(PicardSummary(known[0], orders, known[1], ok))
+    return out
+
+
+def torsion_summary(c: Carousel, T: StratumLabel, locus: str = "open") -> PicardSummary:
+    """Invariant factors, per-embedding torsion orders, group order and verdict for a stratum.
+
+    Locus by locus (see the module docstring): on the open stratum every
+    locus closes up, on the closed stratum only a locus inside T does.
     """
     _check_stratum(c, T, locus)
     p = c.profile.p
-    ones = 0
-    cyclic = []
-    orders = [0] * c.d
+    pieces = []
     for block, locus_data in zip(c.blocks, c.profile.loci):
-        hits = sum(1 for j in block if j in T.members)
-        if locus == "closed" and hits < len(block):
-            ones += hits
-            continue
-        a = _closing_order(p, locus_data.f, hits)
-        ones += len(block) - 1
-        cyclic.append(a)
-        for j in block:
-            orders[j] = a
-    facs = (1,) * ones + tuple(_divisor_chain(cyclic))
-    return PicardSummary(T, locus, facs, tuple(orders))
+        hits = len(T.members.intersection(block))
+        pieces.append([_locus_piece(p, locus_data.f, len(block), hits, locus == "open" or hits == len(block))])
+    return _combine(pieces)[0]
 
 
-class ParityClass(NamedTuple):
-    """The open-stratum torsion shared by every T with the same parities of |T cap P|.
-
-    The fields are those of the PicardSummary of any such T, its group order,
-    and the within_torsion_bound verdict on it.
-    """
-
-    invariant_factors: tuple[int, ...]
-    torsion_orders: tuple[int, ...]
-    group_order: int
-    within_bound: bool
-
-
-def within_torsion_bound(c: Carousel, summary: PicardSummary | ParityClass) -> bool:
+def within_torsion_bound(c: Carousel, summary: PicardSummary) -> bool:
     """Whether every omega_tau has finite order dividing p**(2f) - 1, f that of tau's locus."""
     p = c.profile.p
     orders = summary.torsion_orders
     return all(_divides_bound(p, locus.f, orders[j]) for block, locus in zip(c.blocks, c.profile.loci) for j in block)
 
 
-def parity_classes(c: Carousel) -> list[ParityClass]:
-    """The open-stratum torsion of each class, at the index whose bits, locus 0 first, are the parities.
-
-    Each divisor chain is computed once per sorted multiset of the a_P, since
-    invariant factors are unique.  On a totally split profile every stratum
-    is a class of its own, yet only d + 1 multisets occur.
-    """
+def parity_classes(c: Carousel) -> list[PicardSummary]:
+    """The open-stratum torsion of each class, at the index whose bits, locus 0 first, are the parities."""
     p = c.profile.p
-    # (a_P per locus, torsion orders, verdict) of each class of the loci so
-    # far; hits even comes before odd, so a class's position is its index
-    partial = [((), (), True)]
-    for block, locus in zip(c.blocks, c.profile.loci):
-        pieces = []
-        for hits in (0, 1):
-            a = _closing_order(p, locus.f, hits)
-            pieces.append((a, (a,) * len(block), _divides_bound(p, locus.f, a)))
-        partial = [
-            (moduli + (a,), orders + block_orders, ok and block_ok)
-            for moduli, orders, ok in partial
-            for a, block_orders, block_ok in pieces
-        ]
-    ones = (1,) * (c.d - len(c.blocks))
-    chains: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
-    out = []
-    for moduli, orders, ok in partial:
-        multiset = tuple(sorted(moduli))
-        if multiset not in chains:
-            chains[multiset] = (ones + tuple(_divisor_chain(multiset)), prod(multiset))
-        facs, group = chains[multiset]
-        out.append(ParityClass(facs, orders, group, ok))
-    return out
+    return _combine(
+        [_locus_piece(p, locus.f, len(block), hits, True) for hits in (0, 1)]
+        for block, locus in zip(c.blocks, c.profile.loci)
+    )
 
 
-def open_sweep(c: Carousel) -> list[tuple[str, int, ParityClass]]:
+def open_sweep(c: Carousel) -> list[tuple[str, int, PicardSummary]]:
     """(bitstring, |T|, torsion of T) for every open stratum T, bitstrings in lexicographic order.
 
     Agrees with torsion_summary and within_torsion_bound on every T.

@@ -1,7 +1,8 @@
 """Shared test utilities: profile builders, exhaustive sweeps, exact
 linear-algebra oracles kept deliberately independent of the library code,
 the single reduction step and stratum closure the tests walk by hand, and the
-`picard` report row of one stratum as the per-label route computes it.
+`picard` report row of one open stratum, built from its bitstring without
+`hassecones.strata`.
 
 The oracles here use plain Gaussian elimination over Fraction and blind box
 search, so that agreement with the library is a real cross-check and not the
@@ -9,7 +10,9 @@ same algorithm run twice.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
+from math import prod
 
 from hassecones import (
     PrimeLocus,
@@ -18,10 +21,8 @@ from hassecones import (
     Weight,
     build_carousel,
     hasse_weight,
-    stratum_dimension,
-    torsion_summary,
-    within_torsion_bound,
 )
+from oracles import invariant_factors
 
 # The profile panel used by the embedded selftest, as (p, pairs) specs.
 PANEL_SPECS = (
@@ -241,14 +242,34 @@ def closure_set(T):
     return tuple(sorted(out, key=lambda label: label.bitstring()))
 
 
-def stratum_row(c, label):
-    """The `picard` report row of one open stratum, from its own torsion summary."""
-    summary = torsion_summary(c, label, locus="open")
+@lru_cache(maxsize=None)
+def _diagonal_factors(moduli):
+    """Smith-form invariant factors of diag(moduli), moduli sorted."""
+    return invariant_factors([[m if i == j else 0 for j in range(len(moduli))] for i, m in enumerate(moduli)])
+
+
+def stratum_row(c, text):
+    """The `picard` report row of the open stratum with bitstring text.
+
+    Each locus P closes up into Z/a_P, a_P = p**f - (-1)**t with t the ones
+    of text over P's embeddings, contributing e*f - 1 unit factors; the
+    verdict is whether each a_P divides p**(2f) - 1.
+    """
+    p = c.profile.p
+    moduli, orders, within = [], [], True
+    offset = 0
+    for locus in c.profile.loci:
+        size = locus.e * locus.f
+        a = p**locus.f - (-1) ** text[offset : offset + size].count("1")
+        moduli.append(a)
+        orders.extend([a] * size)
+        within = within and (p ** (2 * locus.f) - 1) % a == 0
+        offset += size
     return {
-        "stratum": label.bitstring(),
-        "dimension": stratum_dimension(c.d, label),
-        "invariant_factors": list(summary.invariant_factors),
-        "torsion_orders": list(summary.torsion_orders),
-        "group_order": summary.group_order,
-        "divisibility": "pass" if within_torsion_bound(c, summary) else "fail",
+        "stratum": text,
+        "dimension": len(text) - text.count("1"),
+        "invariant_factors": [1] * (len(text) - len(moduli)) + list(_diagonal_factors(tuple(sorted(moduli)))),
+        "torsion_orders": orders,
+        "group_order": prod(moduli),
+        "divisibility": "pass" if within else "fail",
     }

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from hassecones import gfpoly
 from hassecones.carousel import Carousel, Embedding
@@ -613,18 +613,20 @@ def _element_order(moduli, coords) -> int:
 
 
 def torsion_summary(c: Carousel, T: StratumLabel, locus: str = "open") -> PicardSummary:
-    """Invariant factors and per-embedding torsion orders for a stratum.
+    """Invariant factors, per-embedding torsion orders, group order and bound verdict for a stratum.
 
     The order of omega_tau is read off the Smith transform: with U A V = D,
     the class of e_tau in the quotient is row tau of V expressed against the
     moduli on the diagonal of D (missing rows of D contribute free factors).
-    Orders for embeddings of a locus whose block of relations is complete are
-    checked against the divisor bound p**(2f) - 1.
+    The group order is the product of the moduli, 0 when one is 0.  Orders
+    for embeddings of a locus whose block of relations is complete are
+    checked against the divisor bound p**(2f) - 1; the verdict is that bound
+    read on every order, so it fails exactly when some order is infinite.
     """
     rows = picard_relations(c, T, locus)
     d = c.d
     if not rows:
-        return PicardSummary(T, locus, (), tuple(0 for _ in range(d)))
+        return PicardSummary((), (0,) * d, 0, False)
     _, D, V = smith_normal_form(rows)
     facs = tuple(D[i][i] for i in range(min(len(D), d)))
     moduli = list(facs) + [0] * (d - len(facs))
@@ -632,18 +634,20 @@ def torsion_summary(c: Carousel, T: StratumLabel, locus: str = "open") -> Picard
 
     p = c.profile.p
     offset = 0
+    within = True
     for locus_data in c.profile.loci:
         span = range(offset, offset + locus_data.degree)
+        bound = p ** (2 * locus_data.f) - 1
+        within = within and all(orders[j] != 0 and bound % orders[j] == 0 for j in span)
         complete = locus == "open" or all(j in T.members for j in span)
         if complete:
-            bound = p ** (2 * locus_data.f) - 1
             for j in span:
                 if orders[j] == 0 or bound % orders[j]:
                     raise InternalCheckError(
                         f"torsion order {orders[j]} at index {j} does not divide p^2f-1 = {bound}"
                     )
         offset += locus_data.degree
-    return PicardSummary(T, locus, facs, orders)
+    return PicardSummary(facs, orders, prod(moduli), within)
 
 
 # ---------------------------------------------------------------------------

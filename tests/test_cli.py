@@ -270,6 +270,18 @@ def test_bridge_power_cap_names_cap_and_value():
     assert "65" in report["error"]["message"] and "r <= 64" in report["error"]["message"]
 
 
+def test_bridge_refuses_a_negative_power_naming_both_bounds():
+    # n_tau = 1 at the second embedding of the ramified locus, so r = 0 is allowed there
+    argv = ["bridge", "--profile", RAMIFIED, "--weight", "[0,1]", "--tau", "1"]
+    assert run(argv + ["--r", "0"])[1] == 0
+    for r in ("-1", "-65", str(-(10**100))):
+        report, code = run(argv + [f"--r={r}"])
+        assert code == 2, r
+        assert report["error"]["type"] == "UsageError"
+        message = report["error"]["message"]
+        assert f"--r is {r};" in message and "0 <= r <= 64" in message
+
+
 def test_weight_cap_names_cap_and_value():
     assert MAX_WEIGHT_BITS == 10_000
     at_cap, above = 2**MAX_WEIGHT_BITS - 1, 2**MAX_WEIGHT_BITS

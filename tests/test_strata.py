@@ -29,7 +29,8 @@ from hassecones import (
     within_torsion_bound,
 )
 from hassecones import cli
-from hassecones.strata import ParityClass, PicardSummary, parity_classes
+from hassecones import selftest, strata
+from hassecones.strata import PicardSummary, parity_classes
 
 from helpers import (
     carousel_of,
@@ -279,11 +280,8 @@ def test_parity_classes_agree_with_torsion_summary():
             for block in c.blocks:
                 key = 2 * key + len(label.members.intersection(block)) % 2
             summary = torsion_summary(c, label)
-            torsion = classes[key]
-            assert torsion.invariant_factors == summary.invariant_factors, (profile, label.bitstring())
-            assert torsion.torsion_orders == summary.torsion_orders
-            assert torsion.group_order == summary.group_order
-            assert torsion.within_bound == within_torsion_bound(c, summary) == within_torsion_bound(c, torsion)
+            assert classes[key] == summary, (profile, label.bitstring())
+            assert summary.within_bound == within_torsion_bound(c, summary)
 
 
 def test_torsion_bound_rejects_orders_off_the_bound():
@@ -292,8 +290,54 @@ def test_torsion_bound_rejects_orders_off_the_bound():
     label = StratumLabel(2, frozenset({0}))
     assert within_torsion_bound(c, torsion_summary(c, label))
     for orders in ((4, 15), (15, 7), (0, 3)):
-        assert not within_torsion_bound(c, PicardSummary(label, "open", (1, 15), orders))
-        assert not within_torsion_bound(c, ParityClass((1, 15), orders, 15, False))
+        assert not within_torsion_bound(c, PicardSummary((1, 15), orders, 15, True))
+
+
+@pytest.mark.parametrize("chosen", [0, 1])
+def test_torsion_verdict_fails_where_the_bound_is_made_to_fail(monkeypatch, chosen):
+    # Negative control: a_P = p**f -+ 1 always divides p**(2f) - 1, so the
+    # verdict can only fail if the bound is patched.  Reject a_P = p**f + 1
+    # on one locus (the first, then the middle one; the loci have distinct f):
+    # exactly the classes, strata and rows odd on that locus must fail.
+    p, pairs = 2, ((1, 1), (1, 2), (1, 3))
+    profile = profile_of(p, pairs)
+    c = build_carousel(profile)
+    chosen_f = pairs[chosen][1]
+    real = strata._divides_bound
+
+    def rejecting(p, f, order):
+        return not (f == chosen_f and order == p**f + 1) and real(p, f, order)
+
+    monkeypatch.setattr(strata, "_divides_bound", rejecting)
+
+    def odd_on_chosen(text):
+        return text[c.blocks[chosen].start : c.blocks[chosen].stop].count("1") % 2 == 1
+
+    classes = parity_classes(c)
+    for key, torsion in enumerate(classes):
+        odd = key >> (len(pairs) - 1 - chosen) & 1
+        assert torsion.within_bound == within_torsion_bound(c, torsion) == (not odd), key
+    texts = ["".join(bits) for bits in product("01", repeat=c.d)]
+    for text in texts:
+        assert torsion_summary(c, StratumLabel.from_bitstring(text)).within_bound == (not odd_on_chosen(text)), text
+    doc = json.dumps(profile.as_dict())
+    report, code = cli.run(["picard", "--profile", doc])
+    assert code == 0
+    rows = report["payload"]["strata"]
+    assert [row["stratum"] for row in rows] == texts
+    for row in rows:
+        assert row["divisibility"] == ("fail" if odd_on_chosen(row["stratum"]) else "pass"), row["stratum"]
+        single, code = cli.run(["picard", "--profile", doc, "--stratum", row["stratum"]])
+        assert code == 0 and single["payload"]["strata"] == [row]
+    checks, all_passed, _ = selftest.run_selftest([profile])
+    assert {row["check"]: row["pass"] for row in checks} == {
+        "determinant_identity": True,
+        "cone_chain": True,
+        "split_criterion": True,
+        "bridge_identity": True,
+        "torsion_bound": False,
+    }
+    assert not all_passed
 
 
 # d = 7 to 12, beyond the golden corpus's d <= 6: split, inert, ramified and
@@ -316,15 +360,16 @@ def test_full_sweep_equals_the_per_stratum_rows(p, pairs):
     report, code = cli.run(["picard", "--profile", json.dumps(profile_of(p, pairs).as_dict())])
     assert code == 0
     rows = report["payload"]["strata"]
-    labels = [StratumLabel.from_bitstring("".join(bits)) for bits in product("01", repeat=c.d)]
-    assert rows == [stratum_row(c, label) for label in labels]
+    texts = ["".join(bits) for bits in product("01", repeat=c.d)]
+    assert rows == [stratum_row(c, text) for text in texts]
     # the Smith-form route agrees on a sample of the strata
     rng = random.Random(f"sweep {p} {pairs}")
     for index in rng.sample(range(len(rows)), 24):
-        summary = oracles.torsion_summary(c, labels[index], "open")
+        summary = oracles.torsion_summary(c, StratumLabel.from_bitstring(texts[index]), "open")
         assert rows[index]["invariant_factors"] == list(summary.invariant_factors)
         assert rows[index]["torsion_orders"] == list(summary.torsion_orders)
         assert rows[index]["group_order"] == summary.group_order
+        assert rows[index]["divisibility"] == ("pass" if summary.within_bound else "fail")
     # each row owns its lists: changing one changes no other
     lists = [row[key] for row in rows for key in ("invariant_factors", "torsion_orders")]
     assert len({id(values) for values in lists}) == len(lists)
