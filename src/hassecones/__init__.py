@@ -10,7 +10,7 @@ normals of the (simplicial) cones and the Picard quotients are computed in
 closed form one orbit at a time.
 """
 
-from .carousel import Carousel, Embedding, build_carousel, n_of, orbit, sigma, sigma_inv
+from .carousel import Carousel, Embedding, build_carousel
 from .cones import (
     MembershipCertificate,
     SimplicialCone,
@@ -47,7 +47,6 @@ from .hasse import (
     hasse_coordinates,
     hasse_lattice_index,
     hasse_matrix,
-    hasse_weight,
 )
 from .profile import PrimeLocus, SplittingProfile, is_prime, parse_profile
 from .reduction import (
@@ -57,7 +56,6 @@ from .reduction import (
     Vanishing,
     enumerate_min_decompositions,
     greedy_reduce,
-    in_min_cone,
     make_decomposition,
     pareto_maximal_decompositions,
     reducible_directions,
@@ -67,8 +65,6 @@ from .strata import (
     StratumLabel,
     bridge_agrees,
     fibre_degree,
-    stratum_dimension,
-    theorem_bridge,
     torsion_summary,
     within_torsion_bound,
 )

@@ -48,20 +48,6 @@ class Embedding:
         return f"P{self.locus}:b{self.beta}:i{self.i}"
 
 
-def parse_embedding_label(text: str) -> Embedding:
-    """Inverse of Embedding.label, e.g. 'P0:b1:i2'."""
-    parts = text.split(":")
-    if len(parts) != 3 or not parts[0].startswith("P") or not parts[1].startswith("b") or not parts[2].startswith("i"):
-        raise ForeignEmbedding(f"malformed embedding label {text!r}")
-    try:
-        tau = Embedding(int(parts[0][1:]), int(parts[1][1:]), int(parts[2][1:]))
-    except ValueError as exc:
-        raise ForeignEmbedding(f"malformed embedding label {text!r}") from exc
-    if tau.locus < 0 or tau.beta < 0 or tau.i < 1:
-        raise ForeignEmbedding(f"embedding label {text!r} is out of range")
-    return tau
-
-
 @dataclass(frozen=True)
 class Carousel:
     """A profile together with its ordered embeddings, orbit blocks and shift tables."""
@@ -126,22 +112,3 @@ def build_carousel(profile: SplittingProfile) -> Carousel:
         n_table=tuple(n_table),
     )
 
-
-def sigma(c: Carousel, tau: Embedding) -> Embedding:
-    return c.embeddings[c.sigma_table[c.index_of(tau)]]
-
-
-def sigma_inv(c: Carousel, tau: Embedding) -> Embedding:
-    return c.embeddings[c.sigma_inv_table[c.index_of(tau)]]
-
-
-def n_of(c: Carousel, tau: Embedding) -> int:
-    return c.n_table[c.index_of(tau)]
-
-
-def orbit(c: Carousel, tau: Embedding) -> tuple[Embedding, ...]:
-    """The full sigma-orbit of tau, starting at tau: its locus block, rotated."""
-    j = c.index_of(tau)
-    block = c.blocks[tau.locus]
-    t = j - block.start
-    return tuple(c.embeddings[i] for i in (*block[t:], *block[:t]))

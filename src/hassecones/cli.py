@@ -23,9 +23,15 @@ from . import selftest as selftest_mod
 from .carousel import build_carousel
 from .cones import cone_chain, hasse_cone, hasse_contains, min_cone, split_criterion, std_cone
 from .errors import HasseConesError, InternalCheckError, InvariantError
-from .gfpoly import MinPolySpec, ModPFactorization, _profile_and_factorization
-from .hasse import Weight, determinant_identity, hasse_coordinates, hasse_lattice_index, hasse_matrix
-from .intlinalg import bareiss_determinant
+from .gfpoly import MinPolySpec, ModPFactorization, profile_from_minpoly
+from .hasse import (
+    Weight,
+    bareiss_determinant,
+    determinant_identity,
+    hasse_coordinates,
+    hasse_lattice_index,
+    hasse_matrix,
+)
 from .profile import SplittingProfile, parse_profile, profile_from_data
 from .reduction import InMinCone, greedy_reduce, reducible_directions
 from .strata import (
@@ -77,7 +83,7 @@ def _load_profile(args) -> tuple[SplittingProfile, ModPFactorization | None]:
         if args.p is None:
             raise UsageError("--minpoly requires --p")
         coeffs = _parse_int_list(args.minpoly, "--minpoly")
-        return _profile_and_factorization(MinPolySpec(tuple(coeffs), args.p), seed=args.seed)
+        return profile_from_minpoly(MinPolySpec(tuple(coeffs), args.p), seed=args.seed)
     raise UsageError("a profile is required: --profile or --minpoly with --p")
 
 
@@ -229,10 +235,8 @@ def _cmd_bridge(args, c, fact) -> dict:
         raise UsageError("bridge requires --tau (canonical embedding index)")
     if args.r is None:
         raise UsageError("bridge requires --r")
-    if args.r < 0:
+    if not 0 <= args.r <= MAX_BRIDGE_POWER:
         raise UsageError(f"--r is {args.r}; the power of p must satisfy 0 <= r <= {MAX_BRIDGE_POWER}")
-    if args.r > MAX_BRIDGE_POWER:
-        raise UsageError(f"--r is {args.r}; the power of p is capped at r <= {MAX_BRIDGE_POWER}")
     k = _parse_weight(args.weight)
     if not (0 <= args.tau < c.d):
         raise UsageError(f"--tau must be in [0, {c.d})")

@@ -34,11 +34,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .carousel import Carousel
 from .errors import DimensionMismatch, InternalCheckError, InvariantError
 from .hasse import Weight, coordinates_scaled
-from .intlinalg import dot, primitive
 
 
 def _canonical_rows(rows, dim: int):
@@ -49,7 +49,8 @@ def _canonical_rows(rows, dim: int):
             raise DimensionMismatch(f"row {row} has length {len(row)}, expected {dim}")
         if all(x == 0 for x in row):
             raise InvariantError("zero vector is not a valid normal or ray")
-        seen.append(primitive(row))
+        g = gcd(*row)
+        seen.append(tuple(x // g for x in row))
     return tuple(sorted(set(seen)))
 
 
@@ -177,7 +178,7 @@ def contains(cone: SimplicialCone, x) -> MembershipCertificate:
         raise DimensionMismatch(f"vector has length {len(vec)}, expected {cone.dim}")
     slacks = []
     for index, row in enumerate(cone.normals):
-        slack = Fraction(dot(row, vec))
+        slack = Fraction(sum(a * v for a, v in zip(row, vec) if a))
         if slack < 0:
             return MembershipCertificate(False, "hrep-violation", (index, slack))
         slacks.append(slack)

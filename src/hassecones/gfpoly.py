@@ -52,13 +52,6 @@ def degree(a: Poly) -> int:
     return len(a) - 1
 
 
-def add(a: Poly, b: Poly, p: int) -> Poly:
-    n = max(len(a), len(b))
-    a = a + (0,) * (n - len(a))
-    b = b + (0,) * (n - len(b))
-    return trim((x + y) % p for x, y in zip(a, b))
-
-
 def sub(a: Poly, b: Poly, p: int) -> Poly:
     n = max(len(a), len(b))
     a = a + (0,) * (n - len(a))
@@ -116,13 +109,6 @@ def gcd(a: Poly, b: Poly, p: int) -> Poly:
 
 def derivative(a: Poly, p: int) -> Poly:
     return trim(i * c % p for i, c in enumerate(a) if i >= 1)
-
-
-def evaluate(a: Poly, x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
 
 
 def pth_root(a: Poly, p: int) -> Poly:
@@ -333,14 +319,6 @@ class ModPFactorization:
         return acc
 
 
-def factor_irreducible(f: Poly, p: int, rng: random.Random) -> list[Poly]:
-    """Factor a squarefree monic polynomial into irreducibles."""
-    out = []
-    for g, d in distinct_degree_factorization(f, p):
-        out.extend(equal_degree_factorization(g, d, p, rng))
-    return out
-
-
 def factor_mod_p(g: MinPolySpec, seed: int = 0) -> ModPFactorization:
     """Full factorization of g mod p into monic irreducibles with multiplicities.
 
@@ -354,8 +332,9 @@ def factor_mod_p(g: MinPolySpec, seed: int = 0) -> ModPFactorization:
     rng = random.Random(seed)
     collected: dict[Poly, int] = {}
     for piece, mult in squarefree_decomposition(fbar, p):
-        for irr in factor_irreducible(piece, p, rng):
-            collected[irr] = collected.get(irr, 0) + mult
+        for part, d in distinct_degree_factorization(piece, p):
+            for irr in equal_degree_factorization(part, d, p, rng):
+                collected[irr] = collected.get(irr, 0) + mult
     factors = tuple(sorted(collected.items(), key=lambda item: (degree(item[0]), item[0])))
     result = ModPFactorization(p, factors)
     if result.product() != fbar:
@@ -373,17 +352,12 @@ def _int_poly_mul(a, b) -> tuple[int, ...]:
     return tuple(out)
 
 
-def dedekind_p_maximal(g: MinPolySpec, seed: int = 0) -> bool:
-    """Dedekind's criterion: is Z[x]/(g) maximal at p?
+def dedekind_p_maximal(g: MinPolySpec, fact: ModPFactorization) -> bool:
+    """Dedekind's criterion: is Z[x]/(g) maximal at p?  fact is factor_mod_p(g).
 
     With g mod p = prod gi**ei, set g* = prod lift(gi), h* = lift(g mod p / g*),
     F = (g* h* - g)/p; the order is p-maximal iff gcd(F mod p, g*, h*) = 1.
     """
-    return _dedekind(g, factor_mod_p(g, seed))
-
-
-def _dedekind(g: MinPolySpec, fact: ModPFactorization) -> bool:
-    """Dedekind's criterion on an already computed factorization of g mod p."""
     p = g.p
     gstar_bar = ONE
     hstar_bar = ONE
@@ -403,15 +377,13 @@ def _dedekind(g: MinPolySpec, fact: ModPFactorization) -> bool:
     return degree(gcd(d1, hstar_bar, p)) == 0
 
 
-def profile_from_minpoly(g: MinPolySpec, seed: int = 0) -> SplittingProfile:
-    """Splitting profile of p read off a p-maximal minimal polynomial."""
-    return _profile_and_factorization(g, seed)[0]
+def profile_from_minpoly(g: MinPolySpec, seed: int = 0) -> tuple[SplittingProfile, ModPFactorization]:
+    """Splitting profile of p read off a p-maximal minimal polynomial.
 
-
-def _profile_and_factorization(g: MinPolySpec, seed: int = 0) -> tuple[SplittingProfile, ModPFactorization]:
-    """The splitting profile together with the one factorization of g mod p it is read from."""
+    Returned with the one factorization of g mod p it is read from.
+    """
     fact = factor_mod_p(g, seed)
-    if not _dedekind(g, fact):
+    if not dedekind_p_maximal(g, fact):
         raise NotPMaximal(
             f"polynomial {list(g.coefficients)} is not p-maximal at p={g.p}; "
             "the mod-p factorization does not determine the splitting"

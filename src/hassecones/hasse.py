@@ -13,7 +13,9 @@ is solved exactly once around each orbit, with no matrix inversion.
 
 The matrix is a tuple of integer rows and the coordinates a tuple of
 Fractions.  The determinant identity is checked by determinant_identity
-against a determinant computed independently (Bareiss, in intlinalg).
+against a determinant computed independently of the orbit structure, by
+fraction-free elimination (bareiss_determinant).  No floating point anywhere
+in the package.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .carousel import Carousel, Embedding
+from .carousel import Carousel
 from .errors import DimensionMismatch, InternalCheckError, SchemaError
 from .profile import SplittingProfile
 
@@ -53,29 +55,14 @@ class Weight:
     def __getitem__(self, index: int) -> int:
         return self.coords[index]
 
-    def __add__(self, other: "Weight") -> "Weight":
-        if len(self) != len(other):
-            raise DimensionMismatch("weight lengths differ")
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        if len(self) != len(other):
-            raise DimensionMismatch("weight lengths differ")
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
 
 def check_weight(c: Carousel, k: Weight) -> None:
     if len(k) != c.d:
         raise DimensionMismatch(f"weight has length {len(k)}, carousel has degree {c.d}")
 
 
-def hasse_weight(c: Carousel, tau: Embedding) -> Weight:
-    """Weight of the partial Hasse invariant at tau."""
-    return Weight(c.hasse_column(c.index_of(tau)))
-
-
 def hasse_matrix(c: Carousel) -> tuple[tuple[int, ...], ...]:
-    """Rows of the d x d matrix whose column at position tau is hasse_weight(tau)."""
+    """Rows of the d x d matrix whose column at position j is the Hasse weight h_j."""
     return tuple(zip(*map(c.hasse_column, range(c.d))))
 
 
@@ -90,6 +77,34 @@ def hasse_lattice_index(profile: SplittingProfile) -> int:
 def determinant_identity(profile: SplittingProfile, det: int) -> bool:
     """Whether det, the determinant of a Hasse matrix, satisfies |det M| = prod (p**f - 1)."""
     return abs(det) == hasse_lattice_index(profile)
+
+
+def bareiss_determinant(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(row) for row in rows]
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix is not square")
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                # Exact division is guaranteed by the Bareiss identity.
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 def coordinates_scaled(c: Carousel, k: Weight) -> tuple[tuple[int, ...], int]:

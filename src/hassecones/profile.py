@@ -134,7 +134,7 @@ def profile_from_data(data: object) -> SplittingProfile:
         coeffs = tuple(_require_int(c, "minpoly coefficient") for c in raw)
         from .gfpoly import MinPolySpec, profile_from_minpoly
 
-        return profile_from_minpoly(MinPolySpec(coeffs, p))
+        return profile_from_minpoly(MinPolySpec(coeffs, p))[0]
     raise SchemaError("profile document must have keys {p, loci} or {p, minpoly}")
 
 

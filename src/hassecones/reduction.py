@@ -43,11 +43,6 @@ def reducible_directions(c: Carousel, k: Weight) -> tuple[Embedding, ...]:
     return tuple(c.embeddings[j] for j in _reducible(c, k.coords))
 
 
-def in_min_cone(c: Carousel, k: Weight) -> bool:
-    check_weight(c, k)
-    return next(_reducible(c, k.coords), None) is None
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """k = w + sum a_tau h_tau with w in C^min and a integral nonnegative."""

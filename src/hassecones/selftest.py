@@ -23,8 +23,7 @@ from itertools import product
 from .carousel import build_carousel
 from .cones import cone_chain, hasse_cone, min_cone, split_criterion
 from .errors import DimensionTooLarge
-from .hasse import Weight, determinant_identity, hasse_matrix
-from .intlinalg import bareiss_determinant
+from .hasse import Weight, bareiss_determinant, determinant_identity, hasse_matrix
 from .profile import PrimeLocus, SplittingProfile
 from .reduction import reducible_directions
 from .strata import bridge_agrees, parity_classes, within_torsion_bound

@@ -79,12 +79,6 @@ class StratumLabel:
         return "".join("1" if i in self.members else "0" for i in range(self.size))
 
 
-def stratum_dimension(d: int, T: StratumLabel) -> int:
-    if T.size != d:
-        raise InvariantError(f"stratum has ambient size {T.size}, expected {d}")
-    return d - len(T.members)
-
-
 def _check_stratum(c: Carousel, T: StratumLabel, locus: str) -> None:
     if T.size != c.d:
         raise InvariantError(f"stratum has ambient size {T.size}, carousel degree {c.d}")
@@ -223,11 +217,6 @@ def fibre_degree(c: Carousel, k: Weight, tau0: Embedding, r: int) -> int:
     return pr * k[j] - (pr // n) * k[c.sigma_inv_table[j]]
 
 
-def theorem_bridge(c: Carousel, k: Weight, tau0: Embedding, r: int) -> bool:
-    """Negativity of the fibre degree; equals tau0 being a reducible direction."""
-    return fibre_degree(c, k, tau0, r) < 0
-
-
 def bridge_agrees(c: Carousel, k: Weight, tau0: Embedding, r: int, reducible) -> bool:
-    """Whether theorem_bridge holds at tau0, given the reducible directions at k."""
-    return theorem_bridge(c, k, tau0, r) == (tau0 in reducible)
+    """Whether the fibre degree is negative exactly when tau0 is in reducible, the reducible directions at k."""
+    return (fibre_degree(c, k, tau0, r) < 0) == (tau0 in reducible)

@@ -20,7 +20,6 @@ from hassecones import (
     StratumLabel,
     Weight,
     build_carousel,
-    hasse_weight,
 )
 from oracles import invariant_factors
 
@@ -179,7 +178,7 @@ def fraction_solve(rows, rhs):
 
 
 def hasse_columns(c):
-    return [hasse_weight(c, tau).coords for tau in c.embeddings]
+    return [c.hasse_column(j) for j in range(c.d)]
 
 
 def oracle_coordinates(c, k):
@@ -229,7 +228,7 @@ def reduce_step(c, k, tau):
     j = c.index_of(tau)
     if c.n_table[j] * k[j] >= k[c.sigma_inv_table[j]]:
         raise ValueError(f"{tau.label()} is not a reducible direction at {tuple(k)}")
-    return k - hasse_weight(c, tau)
+    return Weight(tuple(x - h for x, h in zip(k, c.hasse_column(j))))
 
 
 def closure_set(T):

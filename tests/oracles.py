@@ -9,7 +9,8 @@ run:
   * the carousel tables built from the Embedding rule for sigma, through
     a position dict, and each locus orbit walked by sigma: the reference
     for the arithmetic block rule of build_carousel;
-  * fraction-free linear algebra: rank, Bareiss solve, integer adjugate;
+  * exact integer vectors (dot, content, primitive) and fraction-free
+    linear algebra: rank, Bareiss solve, integer adjugate;
   * the Hasse coordinate solve through a cached integer adjugate;
   * double description (Fukuda & Prodon, "Double description method
     revisited", 1996) in both directions, capped at MAX_DD_DIMENSION;
@@ -20,7 +21,7 @@ run:
     unimodular transforms, and torsion orders read off its transform;
   * factorization over GF(p) by one schoolbook `powmod` per degree and per
     split, the reference for the packed residue ring and its Frobenius
-    matrix.
+    matrix, with the polynomial sum and evaluation it and the tests use.
 
 Names that clash with the library (coordinates_scaled, contains, cone_subset,
 cone_equal, torsion_summary, distinct_degree_factorization,
@@ -38,8 +39,7 @@ from hassecones import gfpoly
 from hassecones.carousel import Carousel, Embedding
 from hassecones.cones import MembershipCertificate, _canonical_rows
 from hassecones.errors import DimensionMismatch, DimensionTooLarge, InternalCheckError, InvariantError
-from hassecones.hasse import Weight, check_weight, hasse_matrix
-from hassecones.intlinalg import bareiss_determinant, content, dot, primitive
+from hassecones.hasse import Weight, bareiss_determinant, check_weight, hasse_matrix
 from hassecones.profile import SplittingProfile
 from hassecones.strata import PicardSummary, StratumLabel
 
@@ -115,6 +115,26 @@ class VRepCone:
 
 # ---------------------------------------------------------------------------
 # Linear algebra
+
+
+def dot(a, b) -> int:
+    """Exact dot product; zero entries of a are skipped, so sparse rows are cheap."""
+    return sum(x * y for x, y in zip(a, b) if x)
+
+
+def content(v) -> int:
+    g = 0
+    for x in v:
+        g = gcd(g, x)
+    return g
+
+
+def primitive(v) -> tuple[int, ...]:
+    """Divide out the gcd, keeping direction; the zero vector is returned as is."""
+    g = content(v)
+    if g <= 1:
+        return tuple(v)
+    return tuple(x // g for x in v)
 
 
 def mat_vec(rows, v) -> tuple[int, ...]:
@@ -654,6 +674,20 @@ def torsion_summary(c: Carousel, T: StratumLabel, locus: str = "open") -> Picard
 # Factorization over GF(p), one powmod per degree
 
 
+def add(a: gfpoly.Poly, b: gfpoly.Poly, p: int) -> gfpoly.Poly:
+    n = max(len(a), len(b))
+    a = a + (0,) * (n - len(a))
+    b = b + (0,) * (n - len(b))
+    return gfpoly.trim((x + y) % p for x, y in zip(a, b))
+
+
+def evaluate(a: gfpoly.Poly, x: int, p: int) -> int:
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * x + c) % p
+    return acc
+
+
 def powmod(a: gfpoly.Poly, e: int, m: gfpoly.Poly, p: int) -> gfpoly.Poly:
     """a**e modulo the polynomial m, by schoolbook products and remainders."""
     result = gfpoly.mod(gfpoly.ONE, m, p)
@@ -708,7 +742,7 @@ def equal_degree_factorization(f: gfpoly.Poly, d: int, p: int, rng) -> list[gfpo
             b = gfpoly.ZERO
             t = gfpoly.mod(a, f, p)
             for _ in range(d):
-                b = gfpoly.add(b, t, p)
+                b = add(b, t, p)
                 t = gfpoly.mod(gfpoly.mul(t, t, p), f, p)
             g = gfpoly.gcd(b, f, p)
         if 0 < gfpoly.degree(g) < n:

@@ -37,22 +37,21 @@ from hassecones import (
     dedekind_p_maximal,
     enumerate_min_decompositions,
     factor_mod_p,
+    fibre_degree,
     greedy_reduce,
     hasse_cone,
     hasse_contains,
     hasse_coordinates,
     hasse_lattice_index,
     hasse_matrix,
-    hasse_weight,
     min_cone,
     profile_from_minpoly,
     reducible_directions,
     std_cone,
-    theorem_bridge,
     torsion_summary,
 )
 from hassecones.cli import render, run
-from hassecones.intlinalg import bareiss_determinant
+from hassecones.hasse import bareiss_determinant
 
 from helpers import (
     PANEL_SPECS,
@@ -165,7 +164,7 @@ def test_criterion_3_reduction_against_oracle_and_cone_membership():
         d = c.d
         matrix_rows = [list(row) for row in hasse_matrix(c)]
         inverse = fraction_inverse(matrix_rows)
-        h_rows = np.array([hasse_weight(c, tau).coords for tau in c.embeddings], dtype=np.int64)
+        h_rows = np.array([c.hasse_column(j) for j in range(d)], dtype=np.int64)
         n_vec = np.array(c.n_table, dtype=np.int64)
         perm = np.array(c.sigma_inv_table, dtype=np.intp)
         for k in weight_box(d, 4):
@@ -329,7 +328,7 @@ def test_criterion_6_bridge_identity_on_panel():
             for tau in valid:
                 for r in (1, 2, 3):
                     checked += 1
-                    if theorem_bridge(c, k, tau, r) != (tau in reducible):
+                    if (fibre_degree(c, k, tau, r) < 0) != (tau in reducible):
                         failures.append((p, pairs, tuple(k), tau.label(), r))
     elapsed = perf_counter() - start
     ok = not failures and elapsed < budget
@@ -357,9 +356,10 @@ def test_criterion_7_factorization_and_dedekind():
         (MinPolySpec((1, 1, 1), 2), (PrimeLocus(1, 2),)),
     ]
     for spec, expected in worked:
-        if profile_from_minpoly(spec).loci != expected:
+        if profile_from_minpoly(spec)[0].loci != expected:
             failures.append(("profile", spec.coefficients))
-    if dedekind_p_maximal(MinPolySpec((-8, -2, -1, 1), 2)):
+    non_maximal = MinPolySpec((-8, -2, -1, 1), 2)
+    if dedekind_p_maximal(non_maximal, factor_mod_p(non_maximal)):
         failures.append(("dedekind", "x^3 - x^2 - 2x - 8 at 2 must be rejected"))
     elapsed = perf_counter() - start
     ok = not failures and elapsed < budget

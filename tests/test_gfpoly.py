@@ -22,12 +22,10 @@ from hassecones import (
 from hassecones.gfpoly import (
     ONE,
     Residues,
-    add,
     degree,
     derivative,
     divmod_poly,
     equal_degree_factorization,
-    evaluate,
     gcd,
     mod,
     monic,
@@ -39,7 +37,7 @@ from hassecones.gfpoly import (
     distinct_degree_factorization,
 )
 import oracles
-from oracles import powmod
+from oracles import add, evaluate, powmod
 
 X = (0, 1)
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -284,18 +282,23 @@ def test_distinct_degree_blocks_carry_their_degree():
 # Dedekind and profiles from minimal polynomials
 
 
+def _dedekind(spec):
+    return dedekind_p_maximal(spec, factor_mod_p(spec))
+
+
 def test_dedekind_worked_examples():
-    assert dedekind_p_maximal(MinPolySpec((-5, 0, 1), 5))
-    assert dedekind_p_maximal(MinPolySpec((-1, -1, 1), 5))
-    assert not dedekind_p_maximal(MinPolySpec((-8, -2, -1, 1), 2))
+    assert _dedekind(MinPolySpec((-5, 0, 1), 5))
+    assert _dedekind(MinPolySpec((-1, -1, 1), 5))
+    assert not _dedekind(MinPolySpec((-8, -2, -1, 1), 2))
 
 
 def test_profile_from_minpoly_worked_examples():
-    split = profile_from_minpoly(MinPolySpec((1, 0, 1), 5))
+    split, fact = profile_from_minpoly(MinPolySpec((1, 0, 1), 5))
     assert split.loci == (PrimeLocus(1, 1), PrimeLocus(1, 1))
-    ramified = profile_from_minpoly(MinPolySpec((-1, -1, 1), 5))
+    assert fact == factor_mod_p(MinPolySpec((1, 0, 1), 5))
+    ramified, _ = profile_from_minpoly(MinPolySpec((-1, -1, 1), 5))
     assert ramified.loci == (PrimeLocus(2, 1),)
-    inert = profile_from_minpoly(MinPolySpec((1, 1, 1), 2))
+    inert, _ = profile_from_minpoly(MinPolySpec((1, 1, 1), 2))
     assert inert.loci == (PrimeLocus(1, 2),)
 
 
@@ -311,9 +314,9 @@ def test_profile_from_minpoly_degree_accounting():
         p = rng.choice(SMALL_PRIMES)
         coeffs = tuple(rng.randrange(-9, 10) for _ in range(rng.randint(2, 6))) + (1,)
         spec = MinPolySpec(coeffs, p)
-        if not dedekind_p_maximal(spec):
+        if not _dedekind(spec):
             continue
-        profile = profile_from_minpoly(spec)
+        profile, _ = profile_from_minpoly(spec)
         assert profile.degree == spec.degree
         assert sum(locus.e * locus.f for locus in profile.loci) == spec.degree
         produced += 1

@@ -1,18 +1,20 @@
 """Exact integer linear algebra against plain Fraction-based oracles.
 
-Rank, the Bareiss solve and the adjugate are no longer library code; their
-tests run against the copies in tests/oracles.py, which other tests use as
-the reference for the closed forms.
+The library keeps only the Bareiss determinant (hasse.bareiss_determinant),
+the certificate for |det M|.  Rank, the Bareiss solve, the adjugate and the
+integer vector helpers are not library code; their tests run against the
+copies in tests/oracles.py, which other tests use as the reference for the
+closed forms.
 """
 
 import random
 
 import pytest
 
-from hassecones.intlinalg import bareiss_determinant, content, dot, primitive
+from hassecones.hasse import bareiss_determinant
 
 from helpers import fraction_determinant, fraction_rank
-from oracles import adjugate_with_det, mat_vec, rank, solve_exact
+from oracles import adjugate_with_det, content, dot, mat_vec, primitive, rank, solve_exact
 
 
 def _random_matrix(rng, n, m=None, lo=-9, hi=9):

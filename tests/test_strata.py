@@ -23,8 +23,6 @@ from hassecones import (
     build_carousel,
     fibre_degree,
     reducible_directions,
-    stratum_dimension,
-    theorem_bridge,
     torsion_summary,
     within_torsion_bound,
 )
@@ -74,9 +72,17 @@ def test_bitstring_rejects_garbage():
 
 
 def test_dimension_worked_examples():
-    assert stratum_dimension(3, StratumLabel(3, frozenset())) == 3
-    assert stratum_dimension(3, StratumLabel(3, frozenset({0, 1, 2}))) == 0
-    assert stratum_dimension(2, StratumLabel(2, frozenset({1}))) == 1
+    # a picard row reports the dimension d - |T| of its stratum
+    def dimension(pairs, bits):
+        doc = json.dumps(profile_of(2, pairs).as_dict())
+        report, code = cli.run(["picard", "--profile", doc, "--stratum", bits])
+        assert code == 0
+        (row,) = report["payload"]["strata"]
+        return row["dimension"]
+
+    assert dimension([(1, 3)], "000") == 3
+    assert dimension([(1, 3)], "111") == 0
+    assert dimension([(2, 1)], "01") == 1
 
 
 def test_closure_worked_examples():
@@ -96,7 +102,7 @@ def test_closure_poset_sanity():
             for other in closure:
                 assert label.members <= other.members
                 if other.members != label.members:
-                    assert stratum_dimension(d, other) < stratum_dimension(d, label)
+                    assert d - len(other.members) < d - len(label.members)
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +402,11 @@ def test_fibre_degree_worked_examples():
 def test_bridge_worked_examples():
     c = carousel_of(2, [(1, 2)])
     tau0 = Embedding(0, 0, 1)
-    assert theorem_bridge(c, Weight((0, 1)), tau0, 1)
+    assert fibre_degree(c, Weight((0, 1)), tau0, 1) < 0
     assert tau0 in reducible_directions(c, Weight((0, 1)))
-    assert not theorem_bridge(c, Weight((1, 0)), tau0, 1)
+    assert not fibre_degree(c, Weight((1, 0)), tau0, 1) < 0
     # degree 2*1 - 1*2 = 0 is not negative, and 2k_tau >= k_sigma_inv holds
-    assert not theorem_bridge(c, Weight((1, 2)), tau0, 1)
+    assert not fibre_degree(c, Weight((1, 2)), tau0, 1) < 0
 
 
 def test_fibre_degree_rejects_singleton_orbit():
@@ -437,4 +443,4 @@ def test_bridge_identity_small_sweep():
             reducible = set(reducible_directions(c, k))
             for tau in valid:
                 for r in (1, 2):
-                    assert theorem_bridge(c, k, tau, r) == (tau in reducible)
+                    assert (fibre_degree(c, k, tau, r) < 0) == (tau in reducible)
