@@ -10,7 +10,7 @@ normals of the (simplicial) cones and the Picard quotients are computed in
 closed form one orbit at a time.
 """
 
-from .carousel import Carousel, Embedding, build_carousel
+from .carousel import Carousel, build_carousel
 from .cones import (
     MembershipCertificate,
     SimplicialCone,
@@ -31,6 +31,7 @@ from .errors import (
     InvariantError,
     MultiplierNotDividing,
     NotPMaximal,
+    ReductionTooLong,
     SchemaError,
     SingletonOrbit,
 )
@@ -62,7 +63,6 @@ from .reduction import (
 )
 from .strata import (
     PicardSummary,
-    StratumLabel,
     bridge_agrees,
     fibre_degree,
     torsion_summary,

@@ -3,8 +3,10 @@
 For each locus P with invariants (e, f) there are e*f embeddings tau_{beta,i},
 indexed by beta in [0, f) (the Frobenius layer) and i in [1, e] (the
 ramification layer).  The canonical order of Sigma lists loci in profile
-order, then beta ascending, then i ascending; positions in that order are the
-integer indices used by weight vectors and matrices everywhere else.
+order, then beta ascending, then i ascending.  An embedding is its position
+in that order: weights, matrices, tables and every library function index
+by position, and `Carousel.labels[j]`, "P{locus}:b{beta}:i{i}", is only the
+text reports print for position j.
 
 The shift permutation sigma advances i within a layer and wraps into the next
 Frobenius layer at the top:
@@ -32,28 +34,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ForeignEmbedding
 from .profile import SplittingProfile
 
 
 @dataclass(frozen=True)
-class Embedding:
-    """One embedding tau_{beta,i} of the locus with the given profile position."""
-
-    locus: int
-    beta: int
-    i: int
-
-    def label(self) -> str:
-        return f"P{self.locus}:b{self.beta}:i{self.i}"
-
-
-@dataclass(frozen=True)
 class Carousel:
-    """A profile together with its ordered embeddings, orbit blocks and shift tables."""
+    """A profile with its embedding labels, orbit blocks and shift tables, all indexed by position."""
 
     profile: SplittingProfile
-    embeddings: tuple[Embedding, ...]
+    labels: tuple[str, ...]
     blocks: tuple[range, ...]
     sigma_table: tuple[int, ...]
     sigma_inv_table: tuple[int, ...]
@@ -61,17 +50,7 @@ class Carousel:
 
     @property
     def d(self) -> int:
-        return len(self.embeddings)
-
-    def index_of(self, tau: Embedding) -> int:
-        """Canonical position of tau; ForeignEmbedding if it is not in Sigma."""
-        loci = self.profile.loci
-        if not (0 <= tau.locus < len(loci)):
-            raise ForeignEmbedding(f"{tau.label()}: locus index out of range")
-        locus = loci[tau.locus]
-        if not (0 <= tau.beta < locus.f) or not (1 <= tau.i <= locus.e):
-            raise ForeignEmbedding(f"{tau.label()}: no such embedding for (e={locus.e}, f={locus.f})")
-        return self.blocks[tau.locus][tau.beta * locus.e + tau.i - 1]
+        return len(self.labels)
 
     def hasse_column(self, j: int) -> tuple[int, ...]:
         """h_j = n_j e_{sigma^{-1} j} - e_j; where sigma fixes j (a split locus) the entry is p - 1."""
@@ -89,26 +68,25 @@ class Carousel:
 
 
 def build_carousel(profile: SplittingProfile) -> Carousel:
-    embeddings: list[Embedding] = []
+    labels: list[str] = []
     blocks = []
     sigma_table: list[int] = []
     sigma_inv_table: list[int] = []
     n_table: list[int] = []
     for locus_index, locus in enumerate(profile.loci):
-        block = range(len(embeddings), len(embeddings) + locus.degree)
+        block = range(len(labels), len(labels) + locus.degree)
         blocks.append(block)
         for t in range(locus.degree):
             beta, i = divmod(t, locus.e)
-            embeddings.append(Embedding(locus_index, beta, i + 1))
+            labels.append(f"P{locus_index}:b{beta}:i{i + 1}")
             n_table.append(profile.p if i == 0 else 1)
         sigma_table += [*block[1:], block[0]]
         sigma_inv_table += [block[-1], *block[:-1]]
     return Carousel(
         profile=profile,
-        embeddings=tuple(embeddings),
+        labels=tuple(labels),
         blocks=tuple(blocks),
         sigma_table=tuple(sigma_table),
         sigma_inv_table=tuple(sigma_inv_table),
         n_table=tuple(n_table),
     )
-

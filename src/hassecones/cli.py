@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 from . import selftest as selftest_mod
 from .carousel import build_carousel
 from .cones import cone_chain, hasse_cone, hasse_contains, min_cone, split_criterion, std_cone
-from .errors import HasseConesError, InternalCheckError, InvariantError
+from .errors import HasseConesError, InternalCheckError
 from .gfpoly import MinPolySpec, ModPFactorization, profile_from_minpoly
 from .hasse import (
     Weight,
@@ -34,13 +34,7 @@ from .hasse import (
 )
 from .profile import SplittingProfile, parse_profile, profile_from_data
 from .reduction import InMinCone, greedy_reduce, reducible_directions
-from .strata import (
-    StratumLabel,
-    bridge_agrees,
-    fibre_degree,
-    open_sweep,
-    torsion_summary,
-)
+from .strata import bridge_agrees, fibre_degree, open_sweep, torsion_summary
 
 SCHEMA_VERSION = "1"
 MAX_SWEEP_DEGREE = 12
@@ -119,8 +113,8 @@ def _cmd_profile(args, c, fact) -> dict:
     payload = {
         "profile": profile.as_dict(),
         "degree": profile.degree,
-        "embeddings": [tau.label() for tau in c.embeddings],
-        "sigma": [c.embeddings[j].label() for j in c.sigma_table],
+        "embeddings": list(c.labels),
+        "sigma": [c.labels[j] for j in c.sigma_table],
         "multipliers": list(c.n_table),
         "totally_split": profile.is_totally_split(),
         "hasse_lattice_index": hasse_lattice_index(profile),
@@ -178,22 +172,22 @@ def _cmd_reduce(args, c, fact) -> dict:
         "weight": list(k.coords),
         "hasse_coordinates": [_frac(v) for v in coords_exact],
         "in_hasse_cone": membership.member,
-        "reducible_directions": [tau.label() for tau in reducible_directions(c, k)],
+        "reducible_directions": [c.labels[j] for j in reducible_directions(c, k)],
     }
     if isinstance(outcome, InMinCone):
         payload["outcome"] = {
             "kind": "in_min_cone",
             "w": list(outcome.decomposition.w.coords),
             "a": list(outcome.decomposition.a),
-            "steps": [c.embeddings[j].label() for j in outcome.steps],
+            "steps": [c.labels[j] for j in outcome.steps],
         }
     else:
         payload["outcome"] = {
             "kind": "vanishing",
-            "tau": c.embeddings[outcome.tau].label(),
+            "tau": c.labels[outcome.tau],
             "coordinate": _frac(outcome.coordinate),
             "weight_at_detection": list(outcome.weight.coords),
-            "steps": [c.embeddings[j].label() for j in outcome.steps],
+            "steps": [c.labels[j] for j in outcome.steps],
         }
     return payload
 
@@ -211,14 +205,13 @@ def _picard_row(stratum: str, dimension: int, invariant_factors, torsion_orders,
 
 
 def _cmd_picard(args, c, fact) -> dict:
-    if args.stratum is not None:
-        try:
-            label = StratumLabel.from_bitstring(args.stratum)
-        except InvariantError as exc:
-            raise UsageError(f"--stratum: {exc}") from exc
-        if label.size != c.d:
-            raise UsageError(f"--stratum has length {label.size}, profile degree is {c.d}")
-        strata = [(args.stratum, len(label.members), torsion_summary(c, label, locus="open"))]
+    bits = args.stratum
+    if bits is not None:
+        if not bits or bits.strip("01"):
+            raise UsageError(f"--stratum: stratum bitstring must be nonempty over 0/1, got {bits!r}")
+        if len(bits) != c.d:
+            raise UsageError(f"--stratum has length {len(bits)}, profile degree is {c.d}")
+        strata = [(bits, bits.count("1"), torsion_summary(c, bits))]
     elif c.d > MAX_SWEEP_DEGREE:
         raise UsageError(f"degree {c.d} > {MAX_SWEEP_DEGREE}: pass --stratum to pick one of the 2^d strata")
     else:
@@ -240,20 +233,20 @@ def _cmd_bridge(args, c, fact) -> dict:
     k = _parse_weight(args.weight)
     if not (0 <= args.tau < c.d):
         raise UsageError(f"--tau must be in [0, {c.d})")
-    tau = c.embeddings[args.tau]
-    degree = fibre_degree(c, k, tau, args.r)
+    j = args.tau
+    degree = fibre_degree(c, k, j, args.r)
     reducible = reducible_directions(c, k)
-    if not bridge_agrees(c, k, tau, args.r, reducible):
+    if not bridge_agrees(c, k, j, args.r, reducible):
         raise InternalCheckError("fibre-degree sign disagrees with reducibility")
     return {
         "profile": c.profile.as_dict(),
         "weight": list(k.coords),
-        "tau": tau.label(),
+        "tau": c.labels[j],
         "r": args.r,
-        "multiplier": c.n_table[args.tau],
+        "multiplier": c.n_table[j],
         "fibre_degree": degree,
         "negative": degree < 0,
-        "reducible": tau in reducible,
+        "reducible": j in reducible,
     }
 
 

@@ -31,7 +31,7 @@ class NotPMaximal(HasseConesError):
 
 
 class ForeignEmbedding(HasseConesError):
-    """An embedding that does not belong to the carousel it was used with."""
+    """An embedding position that is not an int in [0, d) for the carousel it was used with."""
 
 
 class DimensionMismatch(HasseConesError):
@@ -48,6 +48,10 @@ class SingletonOrbit(HasseConesError):
 
 class MultiplierNotDividing(HasseConesError):
     """The embedding's multiplier does not divide the requested power of p."""
+
+
+class ReductionTooLong(HasseConesError):
+    """A greedy reduction walk would exceed its step cap."""
 
 
 class InternalCheckError(HasseConesError):

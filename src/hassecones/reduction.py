@@ -8,7 +8,8 @@ list, moves those two entries per step, and builds a Weight only for what
 it returns.  Greedy reduction walks
 earliest-reducible-first until it lands in C^min or detects a negative Hasse
 coordinate of the current weight (a weight-level vanishing certificate),
-after at most floor(sum_tau y_tau(k)) + 1 steps (see greedy_reduce).
+after at most floor(sum_tau y_tau(k)) + 1 steps (see greedy_reduce), and
+refuses a walk longer than MAX_REDUCE_STEPS.
 
 Decompositions k = w + sum a_tau h_tau with w in C^min and integral a >= 0
 are enumerated exactly: since y(w) = y(k) - a must be componentwise
@@ -20,9 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .carousel import Carousel, Embedding
-from .errors import InvariantError
+from .carousel import Carousel
+from .errors import InvariantError, ReductionTooLong
 from .hasse import Weight, check_weight, coordinates_scaled
+
+# One greedy step costs a few microseconds, so a walk at the cap takes
+# seconds; a weight allowed by the CLI's 10,000-bit cap can need about
+# 2**10000 steps.
+MAX_REDUCE_STEPS = 2**20
 
 
 def _reducible(c: Carousel, coords):
@@ -37,10 +43,10 @@ def _subtract_hasse(c: Carousel, w: list[int], j: int, mult: int = 1) -> None:
     w[j] += mult
 
 
-def reducible_directions(c: Carousel, k: Weight) -> tuple[Embedding, ...]:
-    """Embeddings tau with n_tau k_tau < k_{sigma^{-1} tau}, canonical order."""
+def reducible_directions(c: Carousel, k: Weight) -> tuple[int, ...]:
+    """Positions j with n_j k_j < k_{sigma^{-1} j}, ascending."""
     check_weight(c, k)
-    return tuple(c.embeddings[j] for j in _reducible(c, k.coords))
+    return tuple(_reducible(c, k.coords))
 
 
 @dataclass(frozen=True)
@@ -104,7 +110,8 @@ def greedy_reduce(c: Carousel, k: Weight) -> ReductionOutcome:
     is sum_tau y_tau(k) - s, and step s + 1 needs it to be >= 0: the walk
     takes at most floor(sum_tau y_tau(k)) + 1 steps, and none when a
     coordinate of y(k) is negative.  A step lowers only y_tau, so after it
-    only that coordinate can have turned negative.
+    only that coordinate can have turned negative.  A walk that would take
+    step MAX_REDUCE_STEPS + 1 raises ReductionTooLong instead.
     """
     nums, den = coordinates_scaled(c, k)
     for j, num in enumerate(nums):
@@ -115,6 +122,11 @@ def greedy_reduce(c: Carousel, k: Weight) -> ReductionOutcome:
     a = [0] * c.d
     steps: list[int] = []
     while (j := next(_reducible(c, w), None)) is not None:
+        if len(steps) == MAX_REDUCE_STEPS:
+            raise ReductionTooLong(
+                f"greedy reduction would take step {MAX_REDUCE_STEPS + 1}, "
+                f"above MAX_REDUCE_STEPS = {MAX_REDUCE_STEPS}"
+            )
         _subtract_hasse(c, w, j)
         a[j] += 1
         steps.append(j)

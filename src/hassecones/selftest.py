@@ -59,38 +59,32 @@ def _determinant_check(c, bad_hasse: bool) -> bool:
     return determinant_identity(c.profile, bareiss_determinant(rows))
 
 
-def _cone_chain_check(c) -> bool:
-    return all(cone_chain(min_cone(c), hasse_cone(c)))
-
-
-def _split_check(c) -> bool:
-    return split_criterion(c, min_cone(c), hasse_cone(c))
-
-
 def _bridge_check(c) -> bool:
-    taus = [tau for tau in c.embeddings if c.profile.loci[tau.locus].degree > 1]
+    positions = [j for j in range(c.d) if c.sigma_table[j] != j]
     for coords in product(range(-BRIDGE_BOX, BRIDGE_BOX + 1), repeat=c.d):
         k = Weight(coords)
         reducible = set(reducible_directions(c, k))
-        for tau in taus:
+        for j in positions:
             for r in BRIDGE_POWERS:
-                if not bridge_agrees(c, k, tau, r, reducible):
+                if not bridge_agrees(c, k, j, r, reducible):
                     return False
     return True
 
 
-def _torsion_check(c) -> bool:
-    # the open torsion depends on a stratum only through its per-locus parities
-    return all(within_torsion_bound(c, torsion) for torsion in parity_classes(c))
+CHECKS = ("determinant_identity", "cone_chain", "split_criterion", "bridge_identity", "torsion_bound")
 
 
-CHECKS = (
-    ("determinant_identity", lambda c, bad: _determinant_check(c, bad)),
-    ("cone_chain", lambda c, bad: _cone_chain_check(c)),
-    ("split_criterion", lambda c, bad: _split_check(c)),
-    ("bridge_identity", lambda c, bad: _bridge_check(c)),
-    ("torsion_bound", lambda c, bad: _torsion_check(c)),
-)
+def _verdicts(c, bad_hasse: bool) -> tuple[bool, ...]:
+    """One verdict per name in CHECKS, in order; each cone is built once."""
+    cone_min, cone_hasse = min_cone(c), hasse_cone(c)
+    return (
+        _determinant_check(c, bad_hasse),
+        all(cone_chain(cone_min, cone_hasse)),
+        split_criterion(c, cone_min, cone_hasse),
+        _bridge_check(c),
+        # the open torsion depends on a stratum only through its per-locus parities
+        all(within_torsion_bound(c, torsion) for torsion in parity_classes(c)),
+    )
 
 
 def run_selftest(panel=None, bad_hasse: bool = False):
@@ -109,9 +103,7 @@ def run_selftest(panel=None, bad_hasse: bool = False):
     rows = []
     all_passed = True
     for profile in panel:
-        c = build_carousel(profile)
-        for name, check in CHECKS:
-            passed = bool(check(c, bad_hasse))
+        for name, passed in zip(CHECKS, _verdicts(build_carousel(profile), bad_hasse)):
             rows.append({"check": name, "profile": profile.as_dict(), "pass": passed})
             all_passed = all_passed and passed
     return rows, all_passed, not panel

@@ -1,6 +1,8 @@
 """Goren-Oort strata, Picard relation lattices, torsion orders, fibre degrees.
 
-A stratum is labelled by a subset T of Sigma; its closed locus has dimension
+A stratum is labelled by a subset T of Sigma, written as a bitstring over
+the canonical positions: character j is 1 exactly when position j is in T,
+so the leftmost character is position 0.  Its closed locus has dimension
 d - |T| and its closure is the union of strata for supersets of T.  On the
 open part of the stratum each line bundle omega_tau is forced against its
 shifted neighbour, one integer relation row per embedding:
@@ -12,85 +14,47 @@ The rows are block-diagonal over loci, and each block follows one
 sigma-orbit, so the quotient of Z^Sigma by the row lattice is read off locus
 by locus.  Going once around the orbit of a locus P of residue degree f, the
 relations close up into Z/a_P with a_P = p**f - (-1)**|T cap P|, generated by
-every omega_tau over P; a_P divides p**(2f) - 1.  On the closed stratum only
-the rows for tau in T are forced: a locus inside T still closes up into
-Z/a_P, while any other locus leaves chains whose quotient is free, so its
-omega_tau have infinite order.  The rows themselves are never built here;
-the generic Smith-form route over them is a test oracle.
+every omega_tau over P; a_P divides p**(2f) - 1.  The rows themselves are
+never built here; the generic Smith-form route over them is a test oracle.
 
-Each locus thus gives one piece: its unit invariant factors, a_P (0 for a
-free locus), its block of torsion orders, and whether a_P divides the bound
-p**(2f) - 1.  One combiner joins pieces into PicardSummary tuples:
-torsion_summary one piece per locus, parity_classes the even and the odd
-piece of each.  On the open part the torsion of T depends on T only through
-the parities of |T cap P|, and the invariant factors only through the
-multiset of the a_P, so open_sweep reads one summary per parity class, with
-one divisor chain per multiset; the blocks are consecutive in locus order, so
-the 2^d bitstrings in lexicographic order are the product of each block's
-2^|P| patterns.
+Each locus thus gives one piece: its unit invariant factors, a_P, its block
+of torsion orders, and whether a_P divides the bound p**(2f) - 1.  One
+combiner joins pieces into PicardSummary tuples: torsion_summary one piece
+per locus, counting the ones of the bitstring in the locus's block,
+parity_classes the even and the odd piece of each.  The torsion of T
+depends on T only through the parities of |T cap P|, and the invariant
+factors only through the multiset of the a_P, so open_sweep reads one
+summary per parity class, with one divisor chain per multiset; the blocks
+are consecutive in locus order, so the 2^d bitstrings in lexicographic order
+are the product of each block's 2^|P| patterns.
 
 As a_P = p**f -+ 1 divides (p**f - 1)(p**f + 1) = p**(2f) - 1, the verdict
-is "pass" on every open stratum the input contract allows: it guards against
-a wrong closed form.  within_torsion_bound checks the same bound on torsion
+is "pass" on every stratum the input contract allows: it guards against a
+wrong closed form.  within_torsion_bound checks the same bound on torsion
 orders from anywhere, such as the Smith-form oracle.
 
 The fibre-degree bridge: the relevant projective bundle on the Iwahori side
 has fibre degree p**r k_tau - (p**r / n_tau) k_{sigma^{-1} tau} over the
 tau-line, and its negativity is equivalent to tau being a reducible
 direction, tying the geometry back to the reduction engine; bridge_agrees
-checks that equivalence at one (k, tau, r).
+checks that equivalence at one (k, tau, r), tau given by its position.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import gcd, prod
 from typing import NamedTuple
 
-from .carousel import Carousel, Embedding
-from .errors import InvariantError, MultiplierNotDividing, SingletonOrbit
+from .carousel import Carousel
+from .errors import ForeignEmbedding, InvariantError, MultiplierNotDividing, SingletonOrbit
 from .hasse import Weight, check_weight
-
-
-@dataclass(frozen=True)
-class StratumLabel:
-    """A subset of Sigma in canonical order, with the ambient size."""
-
-    size: int
-    members: frozenset[int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "members", frozenset(self.members))
-        if self.size < 0:
-            raise InvariantError("ambient size must be nonnegative")
-        for j in self.members:
-            if not isinstance(j, int) or not (0 <= j < self.size):
-                raise InvariantError(f"stratum member {j!r} out of range for size {self.size}")
-
-    @classmethod
-    def from_bitstring(cls, text: str) -> "StratumLabel":
-        """Parse '10' as {embedding 0} in ambient size 2; leftmost char is index 0."""
-        if not text or any(ch not in "01" for ch in text):
-            raise InvariantError(f"stratum bitstring must be nonempty over 0/1, got {text!r}")
-        return cls(len(text), frozenset(i for i, ch in enumerate(text) if ch == "1"))
-
-    def bitstring(self) -> str:
-        return "".join("1" if i in self.members else "0" for i in range(self.size))
-
-
-def _check_stratum(c: Carousel, T: StratumLabel, locus: str) -> None:
-    if T.size != c.d:
-        raise InvariantError(f"stratum has ambient size {T.size}, carousel degree {c.d}")
-    if locus not in ("open", "closed"):
-        raise InvariantError(f"locus must be 'open' or 'closed', got {locus!r}")
 
 
 class PicardSummary(NamedTuple):
     """Quotient of Z^Sigma by the relation rows of a stratum, and its bound verdict.
 
-    torsion_orders[tau] is the order of the class of omega_tau; an order of 0,
-    there or in group_order, is infinite.
+    torsion_orders[tau] is the order of the class of omega_tau.
     """
 
     invariant_factors: tuple[int, ...]
@@ -114,21 +78,20 @@ def _divides_bound(p: int, f: int, order: int) -> bool:
     return order != 0 and (p ** (2 * f) - 1) % order == 0
 
 
-def _locus_piece(p: int, f: int, size: int, hits: int, closes: bool):
+def _locus_piece(p: int, f: int, size: int, hits: int):
     """(unit invariant factors, a_P, torsion orders, verdict) of a locus of size embeddings, hits in T.
 
-    A locus that closes up gives Z/a_P and size - 1 unit factors; a free one
-    gives a_P = 0, infinite orders and one unit factor per forced row.
+    The locus closes up into Z/a_P with size - 1 unit factors.
     """
-    ones, a = (size - 1, p**f - (-1) ** hits) if closes else (hits, 0)
-    return ones, a, (a,) * size, _divides_bound(p, f, a)
+    a = p**f - (-1) ** hits
+    return size - 1, a, (a,) * size, _divides_bound(p, f, a)
 
 
 def _combine(pieces_per_locus) -> list[PicardSummary]:
     """One summary per choice of one piece per locus, the last locus varying fastest.
 
     The group order is the product of the a_P.  Each divisor chain is
-    computed once per sorted multiset of the nonzero a_P, since invariant
+    computed once per sorted multiset of the a_P, since invariant
     factors are unique: a totally split profile has 2^d choices of parity
     but only d + 1 multisets.
     """
@@ -147,25 +110,25 @@ def _combine(pieces_per_locus) -> list[PicardSummary]:
         known = chains.get(key)
         if known is None:
             multiset = key[1:]
-            facs = (1,) * ones + tuple(_divisor_chain([a for a in multiset if a]))
+            facs = (1,) * ones + tuple(_divisor_chain(multiset))
             known = chains[key] = (facs, prod(multiset))
         out.append(PicardSummary(known[0], orders, known[1], ok))
     return out
 
 
-def torsion_summary(c: Carousel, T: StratumLabel, locus: str = "open") -> PicardSummary:
-    """Invariant factors, per-embedding torsion orders, group order and verdict for a stratum.
+def torsion_summary(c: Carousel, bits: str) -> PicardSummary:
+    """Invariant factors, per-embedding torsion orders, group order and verdict of the open stratum bits.
 
-    Locus by locus (see the module docstring): on the open stratum every
-    locus closes up, on the closed stratum only a locus inside T does.
+    Each locus gives the piece for the number of ones of bits in its block
+    (see the module docstring).
     """
-    _check_stratum(c, T, locus)
+    if len(bits) != c.d or bits.strip("01"):
+        raise InvariantError(f"stratum {bits!r} is not a bitstring of length {c.d}")
     p = c.profile.p
-    pieces = []
-    for block, locus_data in zip(c.blocks, c.profile.loci):
-        hits = len(T.members.intersection(block))
-        pieces.append([_locus_piece(p, locus_data.f, len(block), hits, locus == "open" or hits == len(block))])
-    return _combine(pieces)[0]
+    return _combine(
+        [_locus_piece(p, locus.f, len(block), bits[block.start : block.stop].count("1"))]
+        for block, locus in zip(c.blocks, c.profile.loci)
+    )[0]
 
 
 def within_torsion_bound(c: Carousel, summary: PicardSummary) -> bool:
@@ -179,7 +142,7 @@ def parity_classes(c: Carousel) -> list[PicardSummary]:
     """The open-stratum torsion of each class, at the index whose bits, locus 0 first, are the parities."""
     p = c.profile.p
     return _combine(
-        [_locus_piece(p, locus.f, len(block), hits, True) for hits in (0, 1)]
+        [_locus_piece(p, locus.f, len(block), hits) for hits in (0, 1)]
         for block, locus in zip(c.blocks, c.profile.loci)
     )
 
@@ -201,13 +164,13 @@ def open_sweep(c: Carousel) -> list[tuple[str, int, PicardSummary]]:
     return [(text, size, classes[key]) for text, size, key in strata]
 
 
-def fibre_degree(c: Carousel, k: Weight, tau0: Embedding, r: int) -> int:
-    """Degree p**r k_tau0 - (p**r / n_tau0) k_{sigma^{-1} tau0} of the bridge bundle."""
+def fibre_degree(c: Carousel, k: Weight, j: int, r: int) -> int:
+    """Degree p**r k_j - (p**r / n_j) k_{sigma^{-1} j} of the bridge bundle at position j."""
     check_weight(c, k)
-    j = c.index_of(tau0)
-    locus = c.profile.loci[tau0.locus]
-    if locus.e * locus.f == 1:
-        raise SingletonOrbit(f"{tau0.label()} has a singleton orbit; fibre degree undefined")
+    if type(j) is not int or not 0 <= j < c.d:
+        raise ForeignEmbedding(f"embedding position {j!r} is not in [0, {c.d})")
+    if c.sigma_table[j] == j:
+        raise SingletonOrbit(f"{c.labels[j]} has a singleton orbit; fibre degree undefined")
     if not isinstance(r, int) or r < 0:
         raise InvariantError(f"power r must be a nonnegative integer, got {r!r}")
     pr = c.profile.p**r
@@ -217,6 +180,6 @@ def fibre_degree(c: Carousel, k: Weight, tau0: Embedding, r: int) -> int:
     return pr * k[j] - (pr // n) * k[c.sigma_inv_table[j]]
 
 
-def bridge_agrees(c: Carousel, k: Weight, tau0: Embedding, r: int, reducible) -> bool:
-    """Whether the fibre degree is negative exactly when tau0 is in reducible, the reducible directions at k."""
-    return (fibre_degree(c, k, tau0, r) < 0) == (tau0 in reducible)
+def bridge_agrees(c: Carousel, k: Weight, j: int, r: int, reducible) -> bool:
+    """Whether the fibre degree at position j is negative exactly when j is in reducible, the reducible directions at k."""
+    return (fibre_degree(c, k, j, r) < 0) == (j in reducible)

@@ -17,7 +17,6 @@ from math import prod
 from hassecones import (
     PrimeLocus,
     SplittingProfile,
-    StratumLabel,
     Weight,
     build_carousel,
 )
@@ -223,22 +222,21 @@ def weight_box(d, radius):
         yield Weight(coords)
 
 
-def reduce_step(c, k, tau):
-    """k - h_tau; ValueError unless tau is reducible at k."""
-    j = c.index_of(tau)
+def reduce_step(c, k, j):
+    """k - h_j; ValueError unless position j is reducible at k."""
     if c.n_table[j] * k[j] >= k[c.sigma_inv_table[j]]:
-        raise ValueError(f"{tau.label()} is not a reducible direction at {tuple(k)}")
+        raise ValueError(f"{c.labels[j]} is not a reducible direction at {tuple(k)}")
     return Weight(tuple(x - h for x, h in zip(k, c.hasse_column(j))))
 
 
-def closure_set(T):
-    """All supersets of T (the strata in the closure), in bitstring order."""
-    rest = sorted(set(range(T.size)) - T.members)
+def closure_set(bits):
+    """All supersets of the stratum bits (the strata in its closure), in bitstring order."""
+    rest = [j for j, ch in enumerate(bits) if ch == "0"]
     out = []
     for r in range(len(rest) + 1):
         for extra in combinations(rest, r):
-            out.append(StratumLabel(T.size, T.members | set(extra)))
-    return tuple(sorted(out, key=lambda label: label.bitstring()))
+            out.append("".join("1" if j in extra else ch for j, ch in enumerate(bits)))
+    return tuple(sorted(out))
 
 
 @lru_cache(maxsize=None)

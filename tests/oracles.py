@@ -6,9 +6,9 @@ routines it used before are kept here unchanged, so the closed forms are
 checked against an independent algorithm and the routines' own tests still
 run:
 
-  * the carousel tables built from the Embedding rule for sigma, through
-    a position dict, and each locus orbit walked by sigma: the reference
-    for the arithmetic block rule of build_carousel;
+  * the carousel tables built from the rule for sigma on (locus, beta, i)
+    triples, through a position dict, and each locus orbit walked by sigma:
+    the reference for the arithmetic block rule of build_carousel;
   * exact integer vectors (dot, content, primitive) and fraction-free
     linear algebra: rank, Bareiss solve, integer adjugate;
   * the Hasse coordinate solve through a cached integer adjugate;
@@ -36,53 +36,52 @@ from functools import lru_cache
 from math import gcd, prod
 
 from hassecones import gfpoly
-from hassecones.carousel import Carousel, Embedding
+from hassecones.carousel import Carousel
 from hassecones.cones import MembershipCertificate, _canonical_rows
 from hassecones.errors import DimensionMismatch, DimensionTooLarge, InternalCheckError, InvariantError
 from hassecones.hasse import Weight, bareiss_determinant, check_weight, hasse_matrix
 from hassecones.profile import SplittingProfile
-from hassecones.strata import PicardSummary, StratumLabel
+from hassecones.strata import PicardSummary
 
 MAX_DD_DIMENSION = 16
 
 
 # ---------------------------------------------------------------------------
-# The carousel from the Embedding rule
+# The carousel from the rule for sigma on (locus, beta, i)
 
 
 def carousel_tables(profile: SplittingProfile):
-    """(embeddings, sigma_table, sigma_inv_table, n_table, orbits) by the Embedding rule.
+    """(labels, sigma_table, sigma_inv_table, n_table, orbits) by the rule for sigma.
 
+    Embeddings are (locus, beta, i) triples in canonical order;
     sigma(tau_{beta,i}) = tau_{beta,i+1} for i < e and tau_{beta+1 mod f, 1}
     for i = e, looked up through a position dict; n_tau = p exactly when
     i = 1; orbits[P] walks sigma from the first embedding of locus P.
     """
     embeddings = [
-        Embedding(index, beta, i)
+        (index, beta, i)
         for index, locus in enumerate(profile.loci)
         for beta in range(locus.f)
         for i in range(1, locus.e + 1)
     ]
     position = {emb: pos for pos, emb in enumerate(embeddings)}
     sigma_table = []
-    for emb in embeddings:
-        locus = profile.loci[emb.locus]
-        if emb.i < locus.e:
-            image = Embedding(emb.locus, emb.beta, emb.i + 1)
-        else:
-            image = Embedding(emb.locus, (emb.beta + 1) % locus.f, 1)
+    for index, beta, i in embeddings:
+        locus = profile.loci[index]
+        image = (index, beta, i + 1) if i < locus.e else (index, (beta + 1) % locus.f, 1)
         sigma_table.append(position[image])
     sigma_inv_table = [0] * len(embeddings)
     for source, target in enumerate(sigma_table):
         sigma_inv_table[target] = source
-    n_table = [profile.p if emb.i == 1 else 1 for emb in embeddings]
+    n_table = [profile.p if i == 1 else 1 for _, _, i in embeddings]
     orbits = []
     for index in range(len(profile.loci)):
-        walk = [position[Embedding(index, 0, 1)]]
+        walk = [position[(index, 0, 1)]]
         while sigma_table[walk[-1]] != walk[0]:
             walk.append(sigma_table[walk[-1]])
         orbits.append(tuple(walk))
-    return tuple(embeddings), tuple(sigma_table), tuple(sigma_inv_table), tuple(n_table), tuple(orbits)
+    labels = tuple(f"P{index}:b{beta}:i{i}" for index, beta, i in embeddings)
+    return labels, tuple(sigma_table), tuple(sigma_inv_table), tuple(n_table), tuple(orbits)
 
 
 # ---------------------------------------------------------------------------
@@ -487,21 +486,17 @@ def cone_equal(a, b) -> bool:
 # Picard relations and the Smith normal form
 
 
-def picard_relations(c: Carousel, T: StratumLabel, locus: str = "open") -> tuple[tuple[int, ...], ...]:
-    """Integer relation rows among the omega_tau on the stratum labelled T.
+def picard_relations(c: Carousel, bits: str) -> tuple[tuple[int, ...], ...]:
+    """Integer relation rows among the omega_tau on the open stratum with bitstring bits.
 
-    locus="open": one row per embedding, sign +n_tau for tau in T and -n_tau
-    otherwise.  locus="closed": only the rows for tau in T are forced.
+    One row per embedding, sign +n_tau for tau in T (a 1 in bits) and
+    -n_tau otherwise.
     """
-    if T.size != c.d:
-        raise InvariantError(f"stratum has ambient size {T.size}, carousel degree {c.d}")
-    if locus not in ("open", "closed"):
-        raise InvariantError(f"locus must be 'open' or 'closed', got {locus!r}")
+    if len(bits) != c.d:
+        raise InvariantError(f"stratum has length {len(bits)}, carousel degree {c.d}")
     rows = []
     for j in range(c.d):
-        if locus == "closed" and j not in T.members:
-            continue
-        sign = 1 if j in T.members else -1
+        sign = 1 if bits[j] == "1" else -1
         row = [0] * c.d
         row[j] += 1
         row[c.sigma_inv_table[j]] += sign * c.n_table[j]
@@ -632,21 +627,18 @@ def _element_order(moduli, coords) -> int:
     return order
 
 
-def torsion_summary(c: Carousel, T: StratumLabel, locus: str = "open") -> PicardSummary:
-    """Invariant factors, per-embedding torsion orders, group order and bound verdict for a stratum.
+def torsion_summary(c: Carousel, bits: str) -> PicardSummary:
+    """Invariant factors, per-embedding torsion orders, group order and bound verdict for an open stratum.
 
     The order of omega_tau is read off the Smith transform: with U A V = D,
     the class of e_tau in the quotient is row tau of V expressed against the
-    moduli on the diagonal of D (missing rows of D contribute free factors).
-    The group order is the product of the moduli, 0 when one is 0.  Orders
-    for embeddings of a locus whose block of relations is complete are
-    checked against the divisor bound p**(2f) - 1; the verdict is that bound
-    read on every order, so it fails exactly when some order is infinite.
+    moduli on the diagonal of D.  The group order is the product of the
+    moduli, 0 when one is 0.  Every order is checked against the divisor
+    bound p**(2f) - 1: an order off the bound raises InternalCheckError, so
+    a returned verdict is always a pass.
     """
-    rows = picard_relations(c, T, locus)
+    rows = picard_relations(c, bits)
     d = c.d
-    if not rows:
-        return PicardSummary((), (0,) * d, 0, False)
     _, D, V = smith_normal_form(rows)
     facs = tuple(D[i][i] for i in range(min(len(D), d)))
     moduli = list(facs) + [0] * (d - len(facs))
@@ -654,20 +646,14 @@ def torsion_summary(c: Carousel, T: StratumLabel, locus: str = "open") -> Picard
 
     p = c.profile.p
     offset = 0
-    within = True
     for locus_data in c.profile.loci:
         span = range(offset, offset + locus_data.degree)
         bound = p ** (2 * locus_data.f) - 1
-        within = within and all(orders[j] != 0 and bound % orders[j] == 0 for j in span)
-        complete = locus == "open" or all(j in T.members for j in span)
-        if complete:
-            for j in span:
-                if orders[j] == 0 or bound % orders[j]:
-                    raise InternalCheckError(
-                        f"torsion order {orders[j]} at index {j} does not divide p^2f-1 = {bound}"
-                    )
+        for j in span:
+            if orders[j] == 0 or bound % orders[j]:
+                raise InternalCheckError(f"torsion order {orders[j]} at index {j} does not divide p^2f-1 = {bound}")
         offset += locus_data.degree
-    return PicardSummary(facs, orders, prod(moduli), within)
+    return PicardSummary(facs, orders, prod(moduli), True)
 
 
 # ---------------------------------------------------------------------------

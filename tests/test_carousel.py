@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from hassecones import Embedding, ForeignEmbedding, build_carousel
+from hassecones import ForeignEmbedding, SingletonOrbit, Weight, build_carousel, fibre_degree
 
 import oracles
 from helpers import carousel_of, exhaustive_profiles, random_profile
@@ -12,9 +12,7 @@ from helpers import carousel_of, exhaustive_profiles, random_profile
 
 def test_sigma_on_ramified_quadratic():
     c = carousel_of(2, [(2, 1)])
-    t01 = Embedding(0, 0, 1)
-    t02 = Embedding(0, 0, 2)
-    assert c.embeddings == (t01, t02)
+    assert c.labels == ("P0:b0:i1", "P0:b0:i2")
     assert c.sigma_table == (1, 0)
     # the inverse on a 2-cycle is the same swap
     assert c.sigma_inv_table == (1, 0)
@@ -22,7 +20,7 @@ def test_sigma_on_ramified_quadratic():
 
 def test_sigma_wraps_beta_on_inert_quadratic():
     c = carousel_of(2, [(1, 2)])
-    assert c.embeddings == (Embedding(0, 0, 1), Embedding(0, 1, 1))
+    assert c.labels == ("P0:b0:i1", "P0:b1:i1")
     assert c.sigma_table == (1, 0)
 
 
@@ -34,8 +32,8 @@ def test_sigma_is_identity_when_totally_split():
 
 def test_multiplier_values_on_ramified_locus():
     c = carousel_of(2, [(2, 1)])
-    assert c.n_table[c.index_of(Embedding(0, 0, 1))] == 2
-    assert c.n_table[c.index_of(Embedding(0, 0, 2))] == 1
+    # n = p at tau_{0,1}, position 0, and 1 at tau_{0,2}, position 1
+    assert c.n_table == (2, 1)
 
 
 def test_multiplier_is_p_everywhere_when_unramified():
@@ -57,20 +55,23 @@ def test_orbit_length_and_multiplier_product():
 
 def test_canonical_order_and_labels():
     c = carousel_of(2, [(3, 1), (1, 1)])
-    labels = [tau.label() for tau in c.embeddings]
-    assert labels == ["P0:b0:i1", "P0:b0:i2", "P0:b0:i3", "P1:b0:i1"]
-    for j, tau in enumerate(c.embeddings):
-        assert c.index_of(tau) == j
+    assert c.labels == ("P0:b0:i1", "P0:b0:i2", "P0:b0:i3", "P1:b0:i1")
+    assert c.d == 4
 
 
 def test_foreign_embedding_rejected():
+    # a position is an int in [0, d): a negative one must not index from the end
     c = carousel_of(2, [(2, 1)])
-    with pytest.raises(ForeignEmbedding):
-        c.index_of(Embedding(1, 0, 1))  # locus out of range
-    with pytest.raises(ForeignEmbedding):
-        c.index_of(Embedding(0, 1, 1))  # beta out of range for f = 1
-    with pytest.raises(ForeignEmbedding):
-        c.index_of(Embedding(0, 0, 3))  # i out of range for e = 2
+    k = Weight((1, 1))
+    for j in (2, -1, -2, True, False, 0.0, "0", None):
+        with pytest.raises(ForeignEmbedding):
+            fibre_degree(c, k, j, 1)
+    assert fibre_degree(c, k, 1, 1) == 0
+    # a singleton orbit is sigma_table[j] == j, named by its label
+    split = carousel_of(3, [(1, 1), (2, 1)])
+    assert split.sigma_table[0] == 0
+    with pytest.raises(SingletonOrbit, match="P0:b0:i1 has a singleton orbit"):
+        fibre_degree(split, Weight((0, 0, 0)), 0, 1)
 
 
 def test_sigma_structure_on_random_profiles():
@@ -82,8 +83,8 @@ def test_sigma_structure_on_random_profiles():
         assert sorted(c.sigma_table) == list(range(d))
         assert all(c.sigma_table[c.sigma_inv_table[j]] == j for j in range(d))
         assert all(c.sigma_inv_table[c.sigma_table[j]] == j for j in range(d))
-        for j, tau in enumerate(c.embeddings):
-            assert c.n_table[j] == (profile.p if tau.i == 1 else 1)
+        for j, label in enumerate(c.labels):
+            assert c.n_table[j] == (profile.p if label.endswith(":i1") else 1)
         offset = 0
         for block, locus in zip(c.blocks, profile.loci):
             assert block == range(offset, offset + locus.degree)
@@ -101,11 +102,11 @@ def test_sigma_structure_on_random_profiles():
 
 def test_block_tables_equal_embedding_rule_reference():
     # The tables are built from the block rule; the reference follows sigma
-    # on Embedding values through a position dict.
+    # on (locus, beta, i) triples through a position dict.
     for profile in exhaustive_profiles((2, 3, 5), dmax=8):
         c = build_carousel(profile)
-        embeddings, sigma_table, sigma_inv_table, n_table, orbits = oracles.carousel_tables(profile)
-        assert c.embeddings == embeddings
+        labels, sigma_table, sigma_inv_table, n_table, orbits = oracles.carousel_tables(profile)
+        assert c.labels == labels
         assert (c.sigma_table, c.sigma_inv_table, c.n_table) == (sigma_table, sigma_inv_table, n_table)
         assert tuple(tuple(block) for block in c.blocks) == orbits
         for j in range(c.d):

@@ -317,6 +317,7 @@ EXIT_STATUS = {
     errors.DimensionTooLarge: 2,
     errors.SingletonOrbit: 2,
     errors.MultiplierNotDividing: 2,
+    errors.ReductionTooLong: 2,
     UsageError: 2,
     errors.InvariantError: 3,
     errors.NotPMaximal: 3,

@@ -6,7 +6,10 @@ stderr.  The corpus is `cones`, `picard` (JSON and `--csv`), two `reduce`
 and one `bridge` for every profile of `exhaustive_profiles((2, 3, 5),
 dmax=6)`, with weights drawn from `random.Random(12345)`, followed by
 `selftest`, `cones` on the inert d = 64 locus at p = 2^64 - 59, `profile`
-and `reduce` under `--minpoly`, and usage and refusal argvs.
+and `reduce` under `--minpoly`, and usage and refusal argvs.  After those
+come one `picard --stratum` per profile of the same sweep, with bitstrings
+drawn from `random.Random(54321)`, and a malformed `--stratum` refusal, so
+the earlier entries keep their argvs and digests.
 
 argparse wraps its usage and help text to the terminal width, so both the
 test and the generator fix COLUMNS.  When a report changes on purpose,
@@ -103,7 +106,16 @@ def corpus():
         argvs.append(["reduce", "--profile", doc, "--weight=" + _weight(rng, d, 40)])
         tau, r = rng.randrange(d), rng.randint(1, 3)
         argvs.append(["bridge", "--profile", doc, "--weight=" + _weight(rng, d, 9), "--tau", str(tau), "--r", str(r)])
-    return argvs + EXTRA_ARGVS
+    return argvs + EXTRA_ARGVS + _stratum_argvs()
+
+
+def _stratum_argvs():
+    rng = random.Random(54321)
+    argvs = []
+    for profile in exhaustive_profiles((2, 3, 5), dmax=6):
+        bits = "".join(rng.choice("01") for _ in range(profile.degree))
+        argvs.append(["picard", "--profile", json.dumps(profile.as_dict()), "--stratum", bits])
+    return argvs + [["picard", "--profile", INERT, "--stratum", "1x"]]
 
 
 def digest(argv):

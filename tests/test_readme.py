@@ -25,6 +25,10 @@ def test_readme_library_example_runs_as_commented():
     c, k, out = namespace["c"], namespace["k"], namespace["out"]
     enumerate_min_decompositions = namespace["enumerate_min_decompositions"]
 
+    # c.labels -> ('P0:b0:i1', 'P0:b1:i1'), by position
+    assert c.labels == ("P0:b0:i1", "P0:b1:i1")
+    # reducible_directions(c, k) -> (1,): positions, as everywhere
+    assert namespace["reducible_directions"](c, k) == (1,)
     # hasse_coordinates(c, k)  -> (Fraction(2, 1), Fraction(3, 1))
     assert namespace["hasse_coordinates"](c, k) == (Fraction(2, 1), Fraction(3, 1))
     # out = greedy_reduce(c, k) -> InMinCone, one step, w=(2,2), a=(0,1)
@@ -36,3 +40,6 @@ def test_readme_library_example_runs_as_commented():
     decompositions = enumerate_min_decompositions(c, k)
     assert len(decompositions) == 3
     assert [dec.a for dec in decompositions] == sorted(dec.a for dec in decompositions)
+    # torsion_summary(c, "10") -> Z/5: one 1 in the locus, 2^2 + 1
+    summary = namespace["torsion_summary"](c, "10")
+    assert (summary.invariant_factors, summary.group_order) == ((1, 5), 5)

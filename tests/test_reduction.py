@@ -17,9 +17,9 @@ import pytest
 
 from hassecones import (
     Decomposition,
-    Embedding,
     InMinCone,
     InvariantError,
+    ReductionTooLong,
     Vanishing,
     Weight,
     build_carousel,
@@ -33,6 +33,7 @@ from hassecones import (
     pareto_maximal_decompositions,
     reducible_directions,
 )
+from hassecones import reduction
 
 from helpers import (
     brute_force_decompositions,
@@ -58,8 +59,8 @@ def _as_pairs(decompositions):
 
 def test_reducible_directions_worked_examples():
     c = carousel_of(2, [(2, 1)])
-    assert reducible_directions(c, Weight((0, 1))) == (Embedding(0, 0, 1),)
-    assert reducible_directions(c, Weight((1, -1))) == (Embedding(0, 0, 2),)
+    assert reducible_directions(c, Weight((0, 1))) == (0,)
+    assert reducible_directions(c, Weight((1, -1))) == (1,)
     assert reducible_directions(c, Weight((0, 0))) == ()
 
 
@@ -71,14 +72,14 @@ def test_reducible_matches_min_cone_membership():
 
 def test_reduce_step_worked_examples():
     c = carousel_of(2, [(2, 1)])
-    assert tuple(reduce_step(c, Weight((0, 1)), Embedding(0, 0, 1))) == (1, -1)
-    assert tuple(reduce_step(c, Weight((1, -1)), Embedding(0, 0, 2))) == (0, 0)
+    assert tuple(reduce_step(c, Weight((0, 1)), 0)) == (1, -1)
+    assert tuple(reduce_step(c, Weight((1, -1)), 1)) == (0, 0)
 
 
 def test_reduce_step_requires_reducibility():
     c = carousel_of(2, [(2, 1)])
     with pytest.raises(ValueError):
-        reduce_step(c, Weight((0, 0)), Embedding(0, 0, 1))
+        reduce_step(c, Weight((0, 0)), 0)
 
 
 def test_reduce_step_decrements_one_hasse_coordinate():
@@ -91,10 +92,9 @@ def test_reduce_step_decrements_one_hasse_coordinate():
         directions = reducible_directions(c, k)
         if not directions:
             continue
-        tau = rng.choice(directions)
-        j = c.index_of(tau)
+        j = rng.choice(directions)
         before = hasse_coordinates(c, k)
-        after = hasse_coordinates(c, reduce_step(c, k, tau))
+        after = hasse_coordinates(c, reduce_step(c, k, j))
         expected = tuple(v - 1 if i == j else v for i, v in enumerate(before))
         assert after == expected
         checked += 1
@@ -323,3 +323,15 @@ def test_greedy_builds_a_constant_number_of_weights(monkeypatch):
         assert isinstance(outcome, InMinCone) and len(outcome.steps) >= m
         counts.append(len(built))
     assert counts[0] == counts[1] <= 2
+
+
+def test_greedy_refuses_a_walk_longer_than_the_cap(monkeypatch):
+    # k = (-m, 2m) on the inert (1, 2) locus at p = 2 takes exactly m steps
+    c = carousel_of(2, [(1, 2)])
+    k = Weight((-1000, 2000))
+    assert len(greedy_reduce(c, k).steps) == 1000
+    monkeypatch.setattr(reduction, "MAX_REDUCE_STEPS", 1000)
+    assert len(greedy_reduce(c, k).steps) == 1000
+    monkeypatch.setattr(reduction, "MAX_REDUCE_STEPS", 999)
+    with pytest.raises(ReductionTooLong, match="step 1000, above MAX_REDUCE_STEPS = 999"):
+        greedy_reduce(c, k)

@@ -1,4 +1,4 @@
-"""Stratum labels, relation lattices, torsion, fibres.
+"""Stratum bitstrings, relation lattices, torsion, fibres.
 
 The relation rows and their Smith normal form are no longer library code;
 their tests run against the copies in tests/oracles.py, which are the
@@ -14,11 +14,9 @@ from itertools import combinations, product
 import pytest
 
 from hassecones import (
-    Embedding,
     InvariantError,
     MultiplierNotDividing,
     SingletonOrbit,
-    StratumLabel,
     Weight,
     build_carousel,
     fibre_degree,
@@ -47,28 +45,36 @@ MERSENNE_61 = 2**61 - 1
 
 
 def _all_strata(d):
-    for mask in range(2**d):
-        yield StratumLabel(d, frozenset(j for j in range(d) if mask >> j & 1))
+    return ["".join(bits) for bits in product("01", repeat=d)]
 
 
 # ---------------------------------------------------------------------------
-# Labels and the closure poset
+# Bitstrings and the closure poset
 
 
 def test_bitstring_round_trip():
-    label = StratumLabel.from_bitstring("10")
-    assert label.size == 2
-    assert label.members == frozenset({0})
-    assert label.bitstring() == "10"
-    assert StratumLabel.from_bitstring("0110").members == frozenset({1, 2})
+    # the leftmost character is position 0: over two split loci at p = 3 the
+    # locus hit once closes up into Z/(3 + 1), the other into Z/(3 - 1)
+    c = carousel_of(3, [(1, 1), (1, 1)])
+    assert torsion_summary(c, "10").torsion_orders == (4, 2)
+    assert torsion_summary(c, "01").torsion_orders == (2, 4)
+    doc = json.dumps(c.profile.as_dict())
+    for text in ("10", "01"):
+        report, code = cli.run(["picard", "--profile", doc, "--stratum", text])
+        assert code == 0
+        (row,) = report["payload"]["strata"]
+        assert row["stratum"] == text
+        assert row["torsion_orders"] == list(torsion_summary(c, text).torsion_orders)
 
 
 def test_bitstring_rejects_garbage():
-    for text in ("", "012", "1x0"):
+    c = carousel_of(2, [(2, 1)])
+    doc = json.dumps(c.profile.as_dict())
+    for text in ("", "012", "1x", "1x0", " 10", "1", "101"):
         with pytest.raises(InvariantError):
-            StratumLabel.from_bitstring(text)
-    with pytest.raises(InvariantError):
-        StratumLabel(2, frozenset({5}))
+            torsion_summary(c, text)
+        report, code = cli.run(["picard", "--profile", doc, "--stratum", text])
+        assert code == 2 and report["error"]["type"] == "UsageError", text
 
 
 def test_dimension_worked_examples():
@@ -86,23 +92,20 @@ def test_dimension_worked_examples():
 
 
 def test_closure_worked_examples():
-    empty = StratumLabel(2, frozenset())
-    assert {label.bitstring() for label in closure_set(empty)} == {"00", "01", "10", "11"}
-    full = StratumLabel(2, frozenset({0, 1}))
-    assert closure_set(full) == (full,)
-    single = StratumLabel(2, frozenset({0}))
-    assert {label.bitstring() for label in closure_set(single)} == {"10", "11"}
+    assert closure_set("00") == ("00", "01", "10", "11")
+    assert closure_set("11") == ("11",)
+    assert closure_set("10") == ("10", "11")
 
 
 def test_closure_poset_sanity():
     for d in (2, 3, 4):
-        for label in _all_strata(d):
-            closure = closure_set(label)
-            assert len(closure) == 2 ** (d - len(label.members))
+        for bits in _all_strata(d):
+            closure = closure_set(bits)
+            assert len(closure) == 2 ** bits.count("0")
             for other in closure:
-                assert label.members <= other.members
-                if other.members != label.members:
-                    assert d - len(other.members) < d - len(label.members)
+                assert all(b <= a for a, b in zip(other, bits))
+                if other != bits:
+                    assert other.count("1") > bits.count("1")
 
 
 # ---------------------------------------------------------------------------
@@ -111,20 +114,9 @@ def test_closure_poset_sanity():
 
 def test_picard_relations_worked_examples():
     c = carousel_of(2, [(2, 1)])
-    tau0 = StratumLabel(2, frozenset({0}))
-    assert picard_relations(c, tau0, locus="open") == ((1, 2), (-1, 1))
-    full = StratumLabel(2, frozenset({0, 1}))
-    assert picard_relations(c, full, locus="open") == ((1, 2), (1, 1))
-    empty = StratumLabel(2, frozenset())
-    assert picard_relations(c, empty, locus="open") == ((1, -2), (-1, 1))
-
-
-def test_closed_locus_keeps_only_member_rows():
-    c = carousel_of(2, [(2, 1)])
-    tau0 = StratumLabel(2, frozenset({0}))
-    assert picard_relations(c, tau0, locus="closed") == ((1, 2),)
-    empty = StratumLabel(2, frozenset())
-    assert picard_relations(c, empty, locus="closed") == ()
+    assert picard_relations(c, "10") == ((1, 2), (-1, 1))
+    assert picard_relations(c, "11") == ((1, 2), (1, 1))
+    assert picard_relations(c, "00") == ((1, -2), (-1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -202,26 +194,18 @@ def test_snf_matches_minor_gcd_oracle():
 
 def test_torsion_worked_examples():
     c = carousel_of(2, [(2, 1)])
-    hit = torsion_summary(c, StratumLabel(2, frozenset({0})))
+    hit = torsion_summary(c, "10")
     assert hit.invariant_factors == (1, 3)
     assert hit.torsion_orders == (3, 3)
     assert hit.group_order == 3
 
-    full = torsion_summary(c, StratumLabel(2, frozenset({0, 1})))
+    full = torsion_summary(c, "11")
     assert full.torsion_orders == (1, 1)
     assert full.group_order == 1
 
-    empty = torsion_summary(c, StratumLabel(2, frozenset()))
+    empty = torsion_summary(c, "00")
     assert empty.torsion_orders == (1, 1)
     assert empty.group_order == 1
-
-
-def test_closed_locus_can_be_infinite():
-    c = carousel_of(2, [(2, 1)])
-    summary = torsion_summary(c, StratumLabel(2, frozenset({0})), locus="closed")
-    assert summary.invariant_factors == (1,)
-    assert summary.group_order == 0  # rank drops, free part remains
-    assert summary.torsion_orders == (0, 0)
 
 
 def test_torsion_bound_small_sweep():
@@ -230,49 +214,43 @@ def test_torsion_bound_small_sweep():
         bounds = []
         for locus in profile.loci:
             bounds.extend([profile.p ** (2 * locus.f) - 1] * (locus.e * locus.f))
-        for label in _all_strata(c.d):
-            summary = torsion_summary(c, label)
+        for bits in _all_strata(c.d):
+            summary = torsion_summary(c, bits)
             for order, bound in zip(summary.torsion_orders, bounds):
-                assert order != 0 and bound % order == 0, (profile, label.bitstring())
+                assert order != 0 and bound % order == 0, (profile, bits)
 
 
 def test_single_locus_group_order_formula():
     for p in (2, 3, 5):
         for e, f in ((2, 1), (1, 2), (3, 1), (1, 3), (2, 2), (4, 1), (1, 4)):
             c = carousel_of(p, [(e, f)])
-            for label in _all_strata(c.d):
-                summary = torsion_summary(c, label)
-                expected = abs(p**f - (-1) ** len(label.members))
-                assert summary.group_order == expected, (p, e, f, label.bitstring())
-                rows = picard_relations(c, label, locus="open")
+            for bits in _all_strata(c.d):
+                summary = torsion_summary(c, bits)
+                expected = abs(p**f - (-1) ** bits.count("1"))
+                assert summary.group_order == expected, (p, e, f, bits)
+                rows = picard_relations(c, bits)
                 assert abs(fraction_determinant([list(r) for r in rows])) == expected
 
 
 def test_torsion_matches_snf_oracle_on_every_stratum():
-    # invariant factors and every torsion order, open and closed, d <= 7
+    # invariant factors, every torsion order and the verdict, d <= 7
     for profile in exhaustive_profiles((2, 3, 5), dmax=7):
         c = build_carousel(profile)
-        for label in _all_strata(c.d):
-            for locus in ("open", "closed"):
-                got = torsion_summary(c, label, locus)
-                assert got == oracles.torsion_summary(c, label, locus), (profile, label.bitstring(), locus)
+        for bits in _all_strata(c.d):
+            assert torsion_summary(c, bits) == oracles.torsion_summary(c, bits), (profile, bits)
 
 
 def test_torsion_closed_form_at_degree_64():
     p = MERSENNE_61
     c = carousel_of(p, [(1, 32), (2, 16)])
-    first = frozenset(range(0, 32, 2))  # 16 hits: a = p**32 - 1
-    second = frozenset(range(32, 35))  # 3 hits: a = p**16 + 1
-    label = StratumLabel(64, first | second)
+    first = "10" * 16  # 16 hits: a = p**32 - 1
+    second = "111" + "0" * 29  # 3 hits: a = p**16 + 1
     a, b = p**32 - 1, p**16 + 1
-    summary = torsion_summary(c, label)
+    summary = torsion_summary(c, first + second)
     assert summary.torsion_orders == (a,) * 32 + (b,) * 32
     # p**16 + 1 divides p**32 - 1, so the two cyclic parts stay apart
     assert summary.invariant_factors == (1,) * 62 + (b, a)
     assert summary.group_order == a * b
-    closed = torsion_summary(c, label, locus="closed")
-    assert closed.torsion_orders == (0,) * 64
-    assert closed.invariant_factors == (1,) * 19
 
 
 def test_parity_classes_agree_with_torsion_summary():
@@ -281,20 +259,19 @@ def test_parity_classes_agree_with_torsion_summary():
         c = build_carousel(profile)
         classes = parity_classes(c)
         assert len(classes) == 2 ** len(profile.loci)
-        for label in _all_strata(c.d):
+        for bits in _all_strata(c.d):
             key = 0
             for block in c.blocks:
-                key = 2 * key + len(label.members.intersection(block)) % 2
-            summary = torsion_summary(c, label)
-            assert classes[key] == summary, (profile, label.bitstring())
+                key = 2 * key + bits[block.start : block.stop].count("1") % 2
+            summary = torsion_summary(c, bits)
+            assert classes[key] == summary, (profile, bits)
             assert summary.within_bound == within_torsion_bound(c, summary)
 
 
 def test_torsion_bound_rejects_orders_off_the_bound():
     # p = 2 on the inert (1, 2) locus: the bound is 2**4 - 1 = 15
     c = carousel_of(2, [(1, 2)])
-    label = StratumLabel(2, frozenset({0}))
-    assert within_torsion_bound(c, torsion_summary(c, label))
+    assert within_torsion_bound(c, torsion_summary(c, "10"))
     for orders in ((4, 15), (15, 7), (0, 3)):
         assert not within_torsion_bound(c, PicardSummary((1, 15), orders, 15, True))
 
@@ -325,7 +302,7 @@ def test_torsion_verdict_fails_where_the_bound_is_made_to_fail(monkeypatch, chos
         assert torsion.within_bound == within_torsion_bound(c, torsion) == (not odd), key
     texts = ["".join(bits) for bits in product("01", repeat=c.d)]
     for text in texts:
-        assert torsion_summary(c, StratumLabel.from_bitstring(text)).within_bound == (not odd_on_chosen(text)), text
+        assert torsion_summary(c, text).within_bound == (not odd_on_chosen(text)), text
     doc = json.dumps(profile.as_dict())
     report, code = cli.run(["picard", "--profile", doc])
     assert code == 0
@@ -371,7 +348,7 @@ def test_full_sweep_equals_the_per_stratum_rows(p, pairs):
     # the Smith-form route agrees on a sample of the strata
     rng = random.Random(f"sweep {p} {pairs}")
     for index in rng.sample(range(len(rows)), 24):
-        summary = oracles.torsion_summary(c, StratumLabel.from_bitstring(texts[index]), "open")
+        summary = oracles.torsion_summary(c, texts[index])
         assert rows[index]["invariant_factors"] == list(summary.invariant_factors)
         assert rows[index]["torsion_orders"] == list(summary.torsion_orders)
         assert rows[index]["group_order"] == summary.group_order
@@ -393,54 +370,48 @@ def test_order_of_identity_relations():
 
 def test_fibre_degree_worked_examples():
     c = carousel_of(2, [(1, 2)])
-    tau0 = Embedding(0, 0, 1)
-    assert fibre_degree(c, Weight((1, 0)), tau0, 1) == 2
-    assert fibre_degree(c, Weight((0, 1)), tau0, 1) == -1
-    assert fibre_degree(c, Weight((0, 0)), tau0, 1) == 0
+    assert fibre_degree(c, Weight((1, 0)), 0, 1) == 2
+    assert fibre_degree(c, Weight((0, 1)), 0, 1) == -1
+    assert fibre_degree(c, Weight((0, 0)), 0, 1) == 0
 
 
 def test_bridge_worked_examples():
     c = carousel_of(2, [(1, 2)])
-    tau0 = Embedding(0, 0, 1)
-    assert fibre_degree(c, Weight((0, 1)), tau0, 1) < 0
-    assert tau0 in reducible_directions(c, Weight((0, 1)))
-    assert not fibre_degree(c, Weight((1, 0)), tau0, 1) < 0
+    assert fibre_degree(c, Weight((0, 1)), 0, 1) < 0
+    assert 0 in reducible_directions(c, Weight((0, 1)))
+    assert not fibre_degree(c, Weight((1, 0)), 0, 1) < 0
     # degree 2*1 - 1*2 = 0 is not negative, and 2k_tau >= k_sigma_inv holds
-    assert not fibre_degree(c, Weight((1, 2)), tau0, 1) < 0
+    assert not fibre_degree(c, Weight((1, 2)), 0, 1) < 0
 
 
 def test_fibre_degree_rejects_singleton_orbit():
     c = carousel_of(3, [(1, 1), (1, 1)])
     with pytest.raises(SingletonOrbit):
-        fibre_degree(c, Weight((1, 1)), Embedding(0, 0, 1), 1)
+        fibre_degree(c, Weight((1, 1)), 0, 1)
 
 
 def test_fibre_degree_rejects_non_dividing_multiplier():
     c = carousel_of(2, [(2, 1)])
     # n_tau = 2 does not divide p^0 = 1
     with pytest.raises(MultiplierNotDividing):
-        fibre_degree(c, Weight((1, 1)), Embedding(0, 0, 1), 0)
+        fibre_degree(c, Weight((1, 1)), 0, 0)
     # but r = 0 is fine when n_tau = 1
-    assert fibre_degree(c, Weight((1, 1)), Embedding(0, 0, 2), 0) == 0
+    assert fibre_degree(c, Weight((1, 1)), 1, 0) == 0
 
 
 def test_fibre_degree_rejects_negative_power():
     c = carousel_of(2, [(1, 2)])
     with pytest.raises(InvariantError):
-        fibre_degree(c, Weight((1, 1)), Embedding(0, 0, 1), -1)
+        fibre_degree(c, Weight((1, 1)), 0, -1)
 
 
 def test_bridge_identity_small_sweep():
     for c in panel_carousels():
-        valid = [
-            tau
-            for tau in c.embeddings
-            if c.profile.loci[tau.locus].e * c.profile.loci[tau.locus].f > 1
-        ]
+        valid = [j for block in c.blocks if len(block) > 1 for j in block]
         if not valid:
             continue
         for k in weight_box(c.d, 2):
             reducible = set(reducible_directions(c, k))
-            for tau in valid:
+            for j in valid:
                 for r in (1, 2):
-                    assert (fibre_degree(c, k, tau, r) < 0) == (tau in reducible)
+                    assert (fibre_degree(c, k, j, r) < 0) == (j in reducible)
