@@ -91,8 +91,13 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         if not isinstance(data, list) or not all(isinstance(v, int) and not isinstance(v, bool) for v in data):
             raise UsageError(f"{flag} must be an array of integers")
         return data
+    parts = raw.split(",")
+    for index, part in enumerate(parts):
+        # int() reads "1_0" as 10
+        if part.strip() == "" or "_" in part:
+            raise UsageError(f"{flag} field {index} is {part!r}: fields must be nonempty integers without '_'")
     try:
-        return [int(part) for part in raw.split(",") if part.strip() != ""]
+        return [int(part) for part in parts]
     except ValueError as exc:
         raise UsageError(f"{flag} must be a JSON array or comma-separated integers") from exc
 

@@ -36,15 +36,7 @@ class Weight:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(self.coords)
-        # bool has __index__ too, but True is not a weight entry
-        if bool in map(type, entries):
-            raise SchemaError(f"weight entries must be integers, not booleans, got {entries!r}")
-        try:
-            coords = tuple(map(operator.index, entries))
-        except TypeError as exc:
-            raise SchemaError(f"weight entries must be integers, got {entries!r}") from exc
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coords", integer_entries(self.coords, "a weight entry"))
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -54,6 +46,18 @@ class Weight:
 
     def __getitem__(self, index: int) -> int:
         return self.coords[index]
+
+
+def integer_entries(values, what: str) -> tuple[int, ...]:
+    """values as ints by operator.index; SchemaError for a bool or a non-integer, naming what an entry is."""
+    entries = tuple(values)
+    # bool has __index__ too, but True is not an integer entry
+    if bool in map(type, entries):
+        raise SchemaError(f"{what} must be an integer, not a boolean; got {entries!r}")
+    try:
+        return tuple(map(operator.index, entries))
+    except TypeError as exc:
+        raise SchemaError(f"{what} must be an integer; got {entries!r}") from exc
 
 
 def check_weight(c: Carousel, k: Weight) -> None:

@@ -12,18 +12,21 @@ after at most floor(sum_tau y_tau(k)) + 1 steps (see greedy_reduce), and
 refuses a walk longer than MAX_REDUCE_STEPS.
 
 Decompositions k = w + sum a_tau h_tau with w in C^min and integral a >= 0
-are enumerated exactly: since y(w) = y(k) - a must be componentwise
-nonnegative, each a_tau ranges over [0, floor(y_tau(k))].
+are enumerated exactly, one locus at a time: a_tau <= floor(y_tau(k)), since
+y(w) = y(k) - a is nonnegative, and each C^min row reads three exponents of
+its own locus (see _decompositions).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .carousel import Carousel
 from .errors import InvariantError, ReductionTooLong
-from .hasse import Weight, check_weight, coordinates_scaled
+from .hasse import Weight, check_weight, coordinates_scaled, integer_entries
 
 # One greedy step costs a few microseconds, so a walk at the cap takes
 # seconds; a weight allowed by the CLI's 10,000-bit cap can need about
@@ -60,7 +63,7 @@ class Decomposition:
 def make_decomposition(c: Carousel, k: Weight, a) -> Decomposition:
     """Build a Decomposition from exponents a, checking every invariant."""
     check_weight(c, k)
-    a = tuple(int(v) for v in a)
+    a = integer_entries(a, "a decomposition exponent")
     if len(a) != c.d:
         raise InvariantError(f"exponent vector has length {len(a)}, expected {c.d}")
     if any(v < 0 for v in a):
@@ -136,50 +139,50 @@ def greedy_reduce(c: Carousel, k: Weight) -> ReductionOutcome:
     return InMinCone(make_decomposition(c, k, a), tuple(steps))
 
 
-def enumerate_min_decompositions(c: Carousel, k: Weight) -> tuple[Decomposition, ...]:
-    """All decompositions k = w + sum a_tau h_tau, in lexicographic a order.
+def _decompositions(c: Carousel, k: Weight, keep) -> tuple[Decomposition, ...]:
+    """keep(each locus's exponents, lexicographic), multiplied out with the first locus slowest.
 
-    Empty when k has a negative Hasse coordinate (no integral a can exist)
-    and also when the cone membership is rational-only, i.e. y(k) >= 0 but no
-    integral exponent choice lands in C^min.
+    At offset t of a block, w_t = k_t + a_t - n_{t+1} a_{t+1} (mod m), so C^min row t - 1 reads
+    a_{t-2}, a_{t-1}, a_t: it is checked once a_t is fixed, and then fails for every larger a_t.
+    Rows 0 and m - 1 wrap around the orbit and are checked last.
     """
     nums, den = coordinates_scaled(c, k)
-    if any(num < 0 for num in nums):
-        return ()
-    bounds = [num // den for num in nums]
-    d = c.d
-    found: list[Decomposition] = []
-    a = [0] * d
-    w = list(k.coords)
 
-    def descend(j: int) -> None:
-        if j == d:
-            if next(_reducible(c, w), None) is None:
-                found.append(Decomposition(Weight(tuple(w)), tuple(a)))
-            return
-        descend(j + 1)
-        for step in range(bounds[j]):
-            a[j] = step + 1
-            _subtract_hasse(c, w, j)
-            descend(j + 1)
-        _subtract_hasse(c, w, j, -bounds[j])
-        a[j] = 0
+    def search(block: range) -> list[tuple[int, ...]]:
+        ks, n, top = (seq[block.start : block.stop] for seq in (k.coords, c.n_table, nums))
+        m, a, found = len(block), [0] * len(block), []
 
-    descend(0)
-    return tuple(found)
+        def row(t: int) -> bool:
+            w_prev, w_t = (ks[s] + a[s] - n[(s + 1) % m] * a[(s + 1) % m] for s in (t - 1, t))
+            return n[t] * w_t >= w_prev
+
+        def descend(t: int) -> None:
+            if t == m:
+                if row(0) and row(m - 1):
+                    found.append(tuple(a))
+                return
+            for a[t] in range(top[t] // den + 1):
+                if t >= 2 and not row(t - 1):
+                    break
+                descend(t + 1)
+
+        descend(0)
+        return keep(found)
+
+    return tuple(make_decomposition(c, k, sum(parts, ())) for parts in product(*map(search, c.blocks)))
+
+
+def enumerate_min_decompositions(c: Carousel, k: Weight) -> tuple[Decomposition, ...]:
+    """All decompositions k = w + sum a_tau h_tau, lexicographic in a; empty when none is integral."""
+    return _decompositions(c, k, list)
 
 
 def pareto_maximal_decompositions(c: Carousel, k: Weight) -> tuple[Decomposition, ...]:
-    """The componentwise-maximal exponent vectors among all decompositions."""
-    all_decs = enumerate_min_decompositions(c, k)
-    out = []
-    for dec in all_decs:
-        dominated = any(
-            other is not dec
-            and all(x >= y for x, y in zip(other.a, dec.a))
-            and other.a != dec.a
-            for other in all_decs
-        )
-        if not dominated:
-            out.append(dec)
-    return tuple(out)
+    """The decompositions with componentwise-maximal a, in lexicographic a order.
+
+    The maximal elements of a product order are the products of the factors'
+    maximal elements, so each locus's list is filtered before the product.
+    """
+    return _decompositions(
+        c, k, lambda found: [a for a in found if [b for b in found if all(map(operator.ge, b, a))] == [a]]
+    )

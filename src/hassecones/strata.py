@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 from .carousel import Carousel
 from .errors import ForeignEmbedding, InvariantError, MultiplierNotDividing, SingletonOrbit
-from .hasse import Weight, check_weight
+from .hasse import Weight, check_weight, integer_entries
 
 
 class PicardSummary(NamedTuple):
@@ -171,7 +171,8 @@ def fibre_degree(c: Carousel, k: Weight, j: int, r: int) -> int:
         raise ForeignEmbedding(f"embedding position {j!r} is not in [0, {c.d})")
     if c.sigma_table[j] == j:
         raise SingletonOrbit(f"{c.labels[j]} has a singleton orbit; fibre degree undefined")
-    if not isinstance(r, int) or r < 0:
+    (r,) = integer_entries((r,), "the power r")
+    if r < 0:
         raise InvariantError(f"power r must be a nonnegative integer, got {r!r}")
     pr = c.profile.p**r
     n = c.n_table[j]

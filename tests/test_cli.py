@@ -196,6 +196,38 @@ def test_weight_accepts_comma_separated_values():
     bracketed = _payload(["reduce", "--profile", RAMIFIED, "--weight", "[0,1]"])
     bare = _payload(["reduce", "--profile", RAMIFIED, "--weight", "0,1"])
     assert bracketed["outcome"] == bare["outcome"]
+    spaced = _payload(["reduce", "--profile", RAMIFIED, "--weight", " 0 , 1 "])
+    assert spaced["outcome"] == bare["outcome"]
+
+
+@pytest.mark.parametrize(
+    "flag, text, index",
+    [
+        ("--weight", "1,,2", 1),
+        ("--weight", ",1,2", 0),
+        ("--weight", "1,2,", 2),
+        ("--weight", "1, ,2", 1),
+        ("--weight", "", 0),
+        ("--weight", "1_0,2", 0),
+        ("--minpoly", "-1,,-1,1", 1),
+        ("--minpoly", "-1,-1,1,", 3),
+        ("--minpoly", "-1,-1,1_0", 2),
+    ],
+)
+def test_integer_lists_refuse_empty_and_underscored_fields(flag, text, index):
+    # int() would read "1_0" as 10, and skipping an empty field would shift
+    # every later entry to the wrong embedding
+    if flag == "--weight":
+        argv = ["reduce", "--profile", INERT, f"--weight={text}"]
+    else:
+        argv = ["profile", f"--minpoly={text}", "--p", "5"]
+    report, code = run(argv)
+    assert code == 2, report
+    field = text.split(",")[index]
+    assert report["error"] == {
+        "type": "UsageError",
+        "message": f"{flag} field {index} is {field!r}: fields must be nonempty integers without '_'",
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ dmax=6)`, with weights drawn from `random.Random(12345)`, followed by
 `selftest`, `cones` on the inert d = 64 locus at p = 2^64 - 59, `profile`
 and `reduce` under `--minpoly`, and usage and refusal argvs.  After those
 come one `picard --stratum` per profile of the same sweep, with bitstrings
-drawn from `random.Random(54321)`, and a malformed `--stratum` refusal, so
-the earlier entries keep their argvs and digests.
+drawn from `random.Random(54321)`, and a malformed `--stratum` refusal, then
+the comma-separated integer lists that are refused (an empty field, a field
+with `_`), so the earlier entries keep their argvs and digests.
 
 argparse wraps its usage and help text to the terminal width, so both the
 test and the generator fix COLUMNS.  When a report changes on purpose,
@@ -90,6 +91,20 @@ EXTRA_ARGVS = [
     ["profile", "--profile", '{"p": 2, "loci": [{"e": 1, "f": 1}]}'],
 ]
 
+# an empty field (inside, leading, trailing) or a `_` in a field exits 2
+LIST_REFUSAL_ARGVS = [
+    ["reduce", "--profile", INERT, "--weight=1,,2"],
+    ["reduce", "--profile", INERT, "--weight=,1,2"],
+    ["reduce", "--profile", INERT, "--weight=1,2,"],
+    ["reduce", "--profile", INERT, "--weight=1, ,2"],
+    ["reduce", "--profile", INERT, "--weight=1_0,2"],
+    ["bridge", "--profile", INERT, "--weight=5,-3_0", "--tau", "1", "--r", "2"],
+    ["profile", "--minpoly=-1,,-1,1", "--p", "5"],
+    ["profile", "--minpoly=-1,-1,1,", "--p", "5"],
+    ["profile", "--minpoly=-1,-1,1_0", "--p", "5"],
+    ["reduce", "--minpoly=-1,-1,1", "--p", "5", "--weight=3,-1,"],
+]
+
 
 def _weight(rng, d, radius):
     return ",".join(str(rng.randint(-radius, radius)) for _ in range(d))
@@ -106,7 +121,7 @@ def corpus():
         argvs.append(["reduce", "--profile", doc, "--weight=" + _weight(rng, d, 40)])
         tau, r = rng.randrange(d), rng.randint(1, 3)
         argvs.append(["bridge", "--profile", doc, "--weight=" + _weight(rng, d, 9), "--tau", str(tau), "--r", str(r)])
-    return argvs + EXTRA_ARGVS + _stratum_argvs()
+    return argvs + EXTRA_ARGVS + _stratum_argvs() + LIST_REFUSAL_ARGVS
 
 
 def _stratum_argvs():

@@ -20,6 +20,7 @@ from hassecones import (
     InMinCone,
     InvariantError,
     ReductionTooLong,
+    SchemaError,
     Vanishing,
     Weight,
     build_carousel,
@@ -158,14 +159,35 @@ def test_enumerate_worked_examples():
     assert enumerate_min_decompositions(c, Weight((-1, 0))) == ()
 
 
+def _assert_strictly_lexicographic(decompositions, case):
+    exponents = [dec.a for dec in decompositions]
+    assert all(x < y for x, y in zip(exponents, exponents[1:])), case
+
+
 def test_enumerate_matches_box_oracle_on_small_sweeps():
     for p, pairs in SWEEP_SPECS:
         c = carousel_of(p, pairs)
         if c.d > 3:
             continue
         for k in weight_box(c.d, 4):
-            got = _as_pairs(enumerate_min_decompositions(c, k))
-            assert got == brute_force_decompositions(c, k), (p, pairs, tuple(k))
+            decompositions = enumerate_min_decompositions(c, k)
+            assert _as_pairs(decompositions) == brute_force_decompositions(c, k), (p, pairs, tuple(k))
+            _assert_strictly_lexicographic(decompositions, (p, pairs, tuple(k)))
+
+
+def test_enumerate_matches_box_oracle_on_two_non_split_loci():
+    # the search runs per locus and multiplies the lists out; with two
+    # non-split loci neither factor is a single coordinate
+    rng = random.Random(64)
+    c = carousel_of(3, [(2, 1), (1, 2)])
+    several = 0
+    for _ in range(150):
+        k = Weight(tuple(rng.randint(-3, 6) for _ in range(c.d)))
+        decompositions = enumerate_min_decompositions(c, k)
+        assert _as_pairs(decompositions) == brute_force_decompositions(c, k), tuple(k)
+        _assert_strictly_lexicographic(decompositions, tuple(k))
+        several += len(decompositions) > 1
+    assert several >= 10
 
 
 def test_greedy_never_exhausts_budget_on_sweeps():
@@ -193,6 +215,28 @@ def test_greedy_in_min_cone_is_enumerated():
             if isinstance(outcome, InMinCone):
                 pair = (tuple(outcome.decomposition.w), outcome.decomposition.a)
                 assert pair in _as_pairs(enumerate_min_decompositions(c, k))
+
+
+LEAST_ACTION_SPECS = SWEEP_SPECS + ((2, ((2, 2),)), (3, ((2, 1), (1, 2))))
+
+
+def test_greedy_lands_on_the_least_decomposition():
+    # When greedy ends in C^min its exponents are the componentwise minimum of
+    # all decompositions, and that minimum is itself a decomposition.
+    landed = 0
+    for p, pairs in LEAST_ACTION_SPECS:
+        c = carousel_of(p, pairs)
+        for k in weight_box(c.d, 3):
+            outcome = greedy_reduce(c, k)
+            if not isinstance(outcome, InMinCone):
+                continue
+            exponents = [dec.a for dec in enumerate_min_decompositions(c, k)]
+            least = tuple(map(min, zip(*exponents)))
+            assert outcome.decomposition.a == least, (p, pairs, tuple(k))
+            assert least in exponents, (p, pairs, tuple(k))
+            landed += 1
+    # 844 of the 3 * 7^2 + 2 * 7^3 + 2 * 7^4 = 5,635 weights land in C^min
+    assert landed == 844
 
 
 def test_vanishing_iff_no_decomposition():
@@ -265,25 +309,30 @@ def test_pareto_picks_maximal_exponents():
     assert _as_pairs(pareto_maximal_decompositions(c, k)) == {((0, 0), (1, 1))}
 
 
+def _maximal_pairs(pairs):
+    """The (w, a) pairs whose a no other pair's a dominates componentwise."""
+    return {
+        (w, a)
+        for w, a in pairs
+        if not any(b != a and all(x >= y for x, y in zip(b, a)) for _, b in pairs)
+    }
+
+
 def test_pareto_subset_and_coverage():
+    # The reference is the box oracle's set, not the library's enumeration.
     rng = random.Random(63)
-    for p, pairs in SWEEP_SPECS:
+    for p, pairs in SWEEP_SPECS + ((3, ((2, 1), (1, 2))),):
         c = carousel_of(p, pairs)
         for _ in range(40):
             k = Weight(tuple(rng.randint(-3, 5) for _ in range(c.d)))
-            every = enumerate_min_decompositions(c, k)
+            case = (p, pairs, tuple(k))
+            every = brute_force_decompositions(c, k)
             maximal = pareto_maximal_decompositions(c, k)
-            every_pairs = _as_pairs(every)
-            maximal_pairs = _as_pairs(maximal)
-            assert maximal_pairs <= every_pairs
-            # nothing in the full set strictly dominates a maximal element
-            for dec in maximal:
-                for other in every:
-                    if other.a != dec.a:
-                        assert not all(x >= y for x, y in zip(other.a, dec.a))
-            # and every decomposition sits below some maximal one
-            for dec in every:
-                assert any(all(x >= y for x, y in zip(m.a, dec.a)) for m in maximal)
+            assert _as_pairs(maximal) == _maximal_pairs(every), case
+            _assert_strictly_lexicographic(maximal, case)
+            # every decomposition sits below some maximal one
+            for _, a in every:
+                assert any(all(x >= y for x, y in zip(m.a, a)) for m in maximal), case
 
 
 def test_make_decomposition_validates():
@@ -296,6 +345,10 @@ def test_make_decomposition_validates():
         make_decomposition(c, Weight((0, 1)), (-1, 0))  # negative exponent
     with pytest.raises(InvariantError):
         make_decomposition(c, Weight((0, 1)), (0, 0))  # w = k is not minimal
+    # refused, not read as (1, 1) the way int() would read them
+    for a in [(1.9, 1.2), (1.0, 1), ("1", 1), ("1", True), (True, 1), (1, None)]:
+        with pytest.raises(SchemaError, match="a decomposition exponent must be an integer"):
+            make_decomposition(c, Weight((0, 1)), a)
 
 
 def test_enumeration_order_is_deterministic():

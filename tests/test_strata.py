@@ -16,6 +16,7 @@ import pytest
 from hassecones import (
     InvariantError,
     MultiplierNotDividing,
+    SchemaError,
     SingletonOrbit,
     Weight,
     build_carousel,
@@ -403,6 +404,14 @@ def test_fibre_degree_rejects_negative_power():
     c = carousel_of(2, [(1, 2)])
     with pytest.raises(InvariantError):
         fibre_degree(c, Weight((1, 1)), 0, -1)
+
+
+@pytest.mark.parametrize("r", [True, False, 1.0, "1", None])
+def test_fibre_degree_refuses_a_non_integer_power(r):
+    # isinstance(True, int) holds, so an isinstance check alone reads True as r = 1
+    c = carousel_of(2, [(1, 2)])
+    with pytest.raises(SchemaError, match="the power r must be an integer"):
+        fibre_degree(c, Weight((0, 1)), 0, r)
 
 
 def test_bridge_identity_small_sweep():
