@@ -15,9 +15,12 @@ import csv
 import functools
 import io
 import json
+import re
 import sys
 from fractions import Fraction
+from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from . import selftest as selftest_mod
 from .carousel import build_carousel
@@ -97,9 +100,28 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         if part.strip() == "" or "_" in part:
             raise UsageError(f"{flag} field {index} is {part!r}: fields must be nonempty integers without '_'")
     try:
-        return [int(part) for part in parts]
+        return [_ascii_int(part) for part in parts]
     except ValueError as exc:
         raise UsageError(f"{flag} must be a JSON array or comma-separated integers") from exc
+
+
+_ASCII_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _ascii_int(text: str) -> int:
+    """int(text) when text.strip() is [+-]?[0-9]+; ValueError otherwise.
+
+    int() alone also reads "1_0" as 10 and any Unicode decimal digit, such as
+    "٣" as 3.
+    """
+    if not _ASCII_INTEGER.fullmatch(text.strip()):
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
+
+
+# argparse refuses a value its type raises ValueError on as "argument --r:
+# invalid int value: '1_0'", naming the type by its __name__
+_ascii_int.__name__ = "int"
 
 
 def _parse_weight(text: str) -> Weight:
@@ -294,8 +316,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if profile_flags:
             sp.add_argument("--profile", help="inline JSON profile or @path to a file")
             sp.add_argument("--minpoly", help="monic integer polynomial, ascending coefficients")
-            sp.add_argument("--p", type=int, help="prime for --minpoly")
-        sp.add_argument("--seed", type=int, default=0, help="seed for randomized factorization steps")
+            sp.add_argument("--p", type=_ascii_int, help="prime for --minpoly")
+        sp.add_argument("--seed", type=_ascii_int, default=0, help="seed for randomized factorization steps")
         sp.add_argument("--csv", action="store_true", help="emit tabular payloads as RFC-4180 CSV")
 
     sp = sub.add_parser("profile", help="echo a profile with its embedding carousel")
@@ -315,8 +337,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bridge", help="fibre degree vs reducibility for one direction")
     common(sp)
     sp.add_argument("--weight", help="integer weight vector in canonical embedding order")
-    sp.add_argument("--tau", type=int, help="canonical index of the embedding")
-    sp.add_argument("--r", type=int, help="power of p for the fibre degree")
+    sp.add_argument("--tau", type=_ascii_int, help="canonical index of the embedding")
+    sp.add_argument("--r", type=_ascii_int, help="power of p for the fibre degree")
 
     sp = sub.add_parser("selftest", help="run the embedded invariant suite")
     common(sp, profile_flags=False)
@@ -402,12 +424,18 @@ def _run(argv: list[str]) -> tuple[dict, int, bool]:
     return report, status, args.csv
 
 
-def _json_text(value, pad: str = "") -> str:
+def _json_text(value, pad: str = "", lists: dict | None = None) -> str:
     """value as json.dumps(value, sort_keys=True, indent=2) prints it, nested at indent pad.
 
     Reports hold dicts with str keys, lists, tuples, str, int, bool and None.
     Anything else, such as a float, a Fraction or an int key, raises
     TypeError instead of printing text json.dumps might print differently.
+
+    Two shapes are written faster.  A list of two or more dicts with one key
+    set is a table: it is written one column at a time, and each row is one
+    str.format over a template built from the keys.  The text of a list of
+    ints is built once per distinct list and indent: `lists` maps pad to
+    {tuple of the ints: text}, and lives for one top-level call.
     """
     kind = type(value)
     if kind is str:
@@ -418,23 +446,76 @@ def _json_text(value, pad: str = "") -> str:
         return "true" if value else "false"
     if value is None:
         return "null"
+    if lists is None:
+        lists = {}
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(value, dict):
         if not value:
             return "{}"
         # encode_basestring_ascii raises TypeError on a key that is not a str
-        items = sep.join([encode_basestring_ascii(key) + ": " + _json_text(value[key], inner) for key in sorted(value)])
+        items = sep.join(
+            [encode_basestring_ascii(key) + ": " + _json_text(value[key], inner, lists) for key in sorted(value)]
+        )
         return "{\n" + inner + items + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if all(type(item) is int for item in value):
-            items = sep.join(map(int.__repr__, value))
+        kinds = set(map(type, value))
+        if kinds == _INT:
+            return _int_lists_text([value], pad, lists)[0]
+        if kinds <= _ARRAYS and set(map(type, chain.from_iterable(value))) <= _INT:
+            # a matrix: a list of int lists
+            items = sep.join(_int_lists_text(value, inner, lists))
+        elif kinds == _DICT and len(value) > 1 and value[0] and _same_keys(value):
+            items = sep.join(_table_rows(value, sorted(value[0]), inner, lists))
         else:
-            items = sep.join([_json_text(item, inner) for item in value])
+            items = sep.join([_json_text(item, inner, lists) for item in value])
         return "[\n" + inner + items + "\n" + pad + "]"
     raise TypeError(f"a report cannot hold {type(value).__name__}")
+
+
+_INT = {int}
+_DICT = {dict}
+_STR = {str}
+_ARRAYS = {list, tuple}
+
+
+def _same_keys(rows: list) -> bool:
+    keys = rows[0].keys()
+    return all(map(keys.__eq__, map(dict.keys, rows)))
+
+
+def _int_lists_text(values, pad: str, lists: dict) -> list[str]:
+    """The text of each list of ints in values at indent pad, each distinct one built once."""
+    memo = lists.setdefault(pad, {})
+    keys = list(map(tuple, values))
+    sep = ",\n" + pad + "  "
+    for key in set(keys).difference(memo):
+        memo[key] = "[\n" + pad + "  " + sep.join(map(int.__repr__, key)) + "\n" + pad + "]" if key else "[]"
+    return list(map(memo.__getitem__, keys))
+
+
+def _table_rows(rows: list, keys: list, pad: str, lists: dict):
+    """The text of each row, dicts over the sorted keys, nested at indent pad."""
+    inner = pad + "  "
+    columns = []
+    for key in keys:
+        column = list(map(itemgetter(key), rows))
+        kinds = set(map(type, column))
+        if kinds == _INT:
+            columns.append(map(int.__repr__, column))
+        elif kinds == _STR:
+            columns.append(map(encode_basestring_ascii, column))
+        elif kinds <= _ARRAYS and set(map(type, chain.from_iterable(column))) <= _INT:
+            columns.append(_int_lists_text(column, inner, lists))
+        else:
+            columns.append([_json_text(cell, inner, lists) for cell in column])
+    # encode_basestring_ascii raises TypeError on a key that is not a str
+    names = [encode_basestring_ascii(key).replace("{", "{{").replace("}", "}}") for key in keys]
+    fields = (",\n" + inner).join(name + ": {}" for name in names)
+    template = "{{\n" + inner + fields + "\n" + pad + "}}"
+    return starmap(template.format, zip(*columns))
 
 
 def render(report: dict, args_csv: bool) -> str:

@@ -230,6 +230,39 @@ def test_integer_lists_refuse_empty_and_underscored_fields(flag, text, index):
     }
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["bridge", "--profile", INERT, "--weight=0,1", "--tau", "0", "--r", "1_0"], "--r", "1_0"),
+        (["profile", "--minpoly=-1,-1,1", "--p", "\uff15"], "--p", "\uff15"),
+        (["profile", "--minpoly=-1,-1,1", "--p", "5_0"], "--p", "5_0"),
+        (["profile", "--minpoly=-1,-1,1", "--p", "5", "--seed", "\u0663"], "--seed", "\u0663"),
+        (["bridge", "--profile", INERT, "--weight=0,1", "--tau", "\u0661", "--r", "1"], "--tau", "\u0661"),
+        (["bridge", "--profile", INERT, "--weight=0,1", "--tau", "0", "--r", "x"], "--r", "x"),
+    ],
+)
+def test_integer_flags_read_ascii_digits_only(argv, flag, value, capsys):
+    # int() reads "1_0" as 10 and any Unicode decimal digit; argparse words
+    # the refusal as it words one of a value int() refuses
+    assert main(argv) == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {flag}: invalid int value: {value!r}\n")
+
+
+@pytest.mark.parametrize("text", ["\u0663,\u0661", "3,\u0661", "\uff13,1", "3,1\u00b2"])
+def test_integer_lists_read_ascii_digits_only(text):
+    report, code = run(["reduce", "--profile", INERT, f"--weight={text}"])
+    assert code == 2, report
+    assert report["error"] == {
+        "type": "UsageError",
+        "message": "--weight must be a JSON array or comma-separated integers",
+    }
+
+
+def test_integer_flags_accept_signs_and_surrounding_space():
+    assert _payload(["reduce", "--profile", INERT, "--weight= +3 , -1 "])["weight"] == [3, -1]
+    assert _payload(["bridge", "--profile", INERT, "--weight=0,1", "--tau", " +1 ", "--r", " 2"])["r"] == 2
+
+
 # ---------------------------------------------------------------------------
 # CSV
 
@@ -507,6 +540,33 @@ REPORT_VALUES = st.recursive(
 )
 
 
+# Small ints repeat, so the writer's memo of int lists is hit as well as missed.
+INT_LISTS = st.lists(st.one_of(st.integers(-2, 2), st.integers()), max_size=4)
+TABLE_CELLS = (
+    st.integers(),
+    HUGE_INTS,
+    st.booleans(),
+    st.none(),
+    st.text(),
+    ESCAPES,
+    INT_LISTS,
+    INT_LISTS.map(tuple),
+    st.one_of(INT_LISTS, INT_LISTS.map(tuple)),
+    st.dictionaries(ESCAPES, st.one_of(REPORT_SCALARS, INT_LISTS), max_size=3),
+    # a column of mixed kinds, written cell by cell
+    st.one_of(REPORT_SCALARS, INT_LISTS, st.lists(st.booleans(), max_size=2)),
+)
+
+
+@st.composite
+def report_tables(draw):
+    """A list of 2 to 6 dicts over one key set, one cell strategy per column."""
+    keys = draw(st.lists(ESCAPES, min_size=1, max_size=5, unique=True))
+    cells = {key: draw(st.sampled_from(TABLE_CELLS)) for key in keys}
+    size = draw(st.integers(2, 6))
+    return [{key: draw(cells[key]) for key in keys} for _ in range(size)]
+
+
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(REPORT_VALUES)
 @example({})
@@ -520,6 +580,20 @@ def test_writer_prints_what_json_dumps_prints(value):
     assert cli._json_text(value) == _dumps(value)
     if isinstance(value, dict) and "command" not in value:
         assert render(value, args_csv=False) == _dumps(value) + "\n"
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(report_tables())
+@example([{"a": 1}, {"a": 2}])
+@example([{"{": [1, 2]}, {"{": (1, 2)}, {"{": []}])
+@example([{"}": "{}", "a": True}, {"}": "", "a": None}])
+@example([{"a": [1]}, {"a": [True]}, {"a": (1,)}])
+@example([{"a": [1], "b": {"c": [1]}}, {"a": [1], "b": {"c": [[1]]}}])
+@example([{"a": [[1], [True]]}, {"a": [[True], []]}])
+@example([{"a": 1, "b": 2}, {"b": 3, "a": 4}])
+def test_writer_prints_tables_as_json_dumps_prints(rows):
+    assert cli._json_text(rows) == _dumps(rows)
+    assert cli._json_text({"rows": rows, "again": rows}) == _dumps({"rows": rows, "again": rows})
 
 
 @pytest.mark.parametrize(
@@ -537,6 +611,15 @@ def test_writer_prints_what_json_dumps_prints(value):
         {"a": {"b": {3: []}}},
         [object()],
         {"a": {1, 2}},
+        [{"a": 1}, {"a": 1.5}],
+        [{"a": [1]}, {"a": [2.0]}],
+        [{"a": 1}, {"a": 1, 2: 0}],
+        [{"a": [1]}, {"a": [1.0]}],
+        [[1], [1.0]],
+        [{1: 0}, {1: 1}],
+        [{"a": Fraction(1, 2)}, {"a": Fraction(1, 2)}],
+        [{"a": {1}}, {"a": {2}}],
+        [{"a": {1: 0}}, {"a": {1: 0}}],
     ],
 )
 def test_writer_refuses_what_reports_never_hold(value):

@@ -10,7 +10,8 @@ and `reduce` under `--minpoly`, and usage and refusal argvs.  After those
 come one `picard --stratum` per profile of the same sweep, with bitstrings
 drawn from `random.Random(54321)`, and a malformed `--stratum` refusal, then
 the comma-separated integer lists that are refused (an empty field, a field
-with `_`), so the earlier entries keep their argvs and digests.
+with `_`), then integers refused for digits other than ASCII 0-9 or a `_`,
+so the earlier entries keep their argvs and digests.
 
 argparse wraps its usage and help text to the terminal width, so both the
 test and the generator fix COLUMNS.  When a report changes on purpose,
@@ -105,6 +106,14 @@ LIST_REFUSAL_ARGVS = [
     ["reduce", "--minpoly=-1,-1,1", "--p", "5", "--weight=3,-1,"],
 ]
 
+# integers that int() reads but that are not [+-]?[0-9]+ exit 2: a `_` in an
+# integer flag, a full-width digit, Arabic-Indic digits in a list
+ASCII_INTEGER_ARGVS = [
+    ["bridge", "--profile", INERT, "--weight=0,1", "--tau", "0", "--r", "1_0"],
+    ["profile", "--minpoly=-1,-1,1", "--p", "\uff15"],
+    ["reduce", "--profile", INERT, "--weight=\u0663,\u0661"],
+]
+
 
 def _weight(rng, d, radius):
     return ",".join(str(rng.randint(-radius, radius)) for _ in range(d))
@@ -121,7 +130,7 @@ def corpus():
         argvs.append(["reduce", "--profile", doc, "--weight=" + _weight(rng, d, 40)])
         tau, r = rng.randrange(d), rng.randint(1, 3)
         argvs.append(["bridge", "--profile", doc, "--weight=" + _weight(rng, d, 9), "--tau", str(tau), "--r", str(r)])
-    return argvs + EXTRA_ARGVS + _stratum_argvs() + LIST_REFUSAL_ARGVS
+    return argvs + EXTRA_ARGVS + _stratum_argvs() + LIST_REFUSAL_ARGVS + ASCII_INTEGER_ARGVS
 
 
 def _stratum_argvs():
