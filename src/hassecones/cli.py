@@ -25,7 +25,7 @@ from operator import itemgetter
 from . import selftest as selftest_mod
 from .carousel import build_carousel
 from .cones import cone_chain, hasse_cone, hasse_contains, min_cone, split_criterion, std_cone
-from .errors import HasseConesError, InternalCheckError
+from .errors import HasseConesError, InternalCheckError, SchemaError
 from .gfpoly import MinPolySpec, ModPFactorization, profile_from_minpoly
 from .hasse import (
     Weight,
@@ -35,7 +35,7 @@ from .hasse import (
     hasse_lattice_index,
     hasse_matrix,
 )
-from .profile import SplittingProfile, parse_profile, profile_from_data
+from .profile import SplittingProfile, integer_entries, parse_profile, profile_from_data
 from .reduction import InMinCone, greedy_reduce, reducible_directions
 from .strata import bridge_agrees, fibre_degree, open_sweep, torsion_summary
 
@@ -91,9 +91,10 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
             data = json.loads(raw)
         except (ValueError, RecursionError) as exc:
             raise UsageError(f"{flag} is not a valid JSON array: {exc}") from exc
-        if not isinstance(data, list) or not all(isinstance(v, int) and not isinstance(v, bool) for v in data):
-            raise UsageError(f"{flag} must be an array of integers")
-        return data
+        try:  # text starting with "[" that parses is a JSON array
+            return list(integer_entries(data, flag))
+        except SchemaError as exc:
+            raise UsageError(f"{flag} must be an array of integers") from exc
     parts = raw.split(",")
     for index, part in enumerate(parts):
         # int() reads "1_0" as 10

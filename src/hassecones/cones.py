@@ -10,15 +10,16 @@ with C^min contained in C^st contained in C^Hasse, and C^min = C^Hasse
 exactly when p is totally split.
 
 All three are simplicial (SimplicialCone), and each is built with both its
-d rays and its d facet normals, written down one sigma-orbit at a time.  On
+d rays and its d facet normals.  The C^Hasse normals are the rows of
+(p^f - 1) M^{-1} on each locus, written down one sigma-orbit at a time.  On
 the orbit rho, sigma rho, ..., sigma^{m-1} rho of a locus, with partial
-products c_j = n_{sigma rho} ... n_{sigma^j rho} (c_0 = 1):
+products c_j = n_{sigma rho} ... n_{sigma^j rho} (c_0 = 1), the normal for
+rho has c_j at sigma^j rho.  Row tau of the C^min normal matrix N is row
+sigma^{-1} tau of M, so N = P^T M with P the permutation matrix of
+sigma^{-1}, and N^{-1} = M^{-1} P: the C^min rays are the columns of the
+matrix whose rows are the C^Hasse normals.
 
-  * the C^Hasse normal for rho (a row of M^{-1}, scaled) has c_j at sigma^j rho;
-  * the C^min ray for rho (a column of N^{-1}, scaled) has
-    c_{m-1} / c_j = n_{sigma^{j+1} rho} ... n_{sigma^{m-1} rho} at sigma^j rho.
-
-Both are primitive (an entry is 1).  Membership is a sign check of a vector
+Normals and rays are primitive: each has the entry c_0 = 1.  Membership is a sign check of a vector
 against the normals, and the chain is a sign read of the C^min rays and the
 C^Hasse normals (cone_chain).  A SimplicialCone keeps its rays and normals
 primitive and sorted, so two of them are the same cone exactly when they are
@@ -120,10 +121,7 @@ def _orbit_products(c: Carousel):
 def min_cone(c: Carousel) -> SimplicialCone:
     """C^min; split loci contribute (p - 1) e_tau rows, normalized to e_tau."""
     normals = map(c.min_normal, range(c.d))
-    rays = []
-    for prods in _orbit_products(c):
-        top = max(prods)  # c_{m-1}: the partial products only grow
-        rays.append([top // v if v else 0 for v in prods])
+    rays = zip(*_orbit_products(c))  # the columns of the C^Hasse normal matrix
     return SimplicialCone.from_rows(rays, normals, c.d)
 
 

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InternalCheckError, InvariantError, NotPMaximal
-from .profile import MAX_DEGREE, MAX_PRIME, PrimeLocus, SplittingProfile, is_prime
+from .profile import MAX_DEGREE, MAX_PRIME, PrimeLocus, SplittingProfile, integer_entries, is_prime
 
 Poly = tuple[int, ...]
 
@@ -60,14 +60,17 @@ def sub(a: Poly, b: Poly, p: int) -> Poly:
 
 
 def mul(a: Poly, b: Poly, p: int) -> Poly:
+    return normalize(_int_poly_mul(a, b), p)
+
+
+def _int_poly_mul(a, b) -> tuple[int, ...]:
     if not a or not b:
-        return ZERO
+        return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return trim(out)
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
 
 
 def scale(a: Poly, c: int, p: int) -> Poly:
@@ -285,10 +288,12 @@ class MinPolySpec:
     p: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
-        if not isinstance(self.p, int) or self.p >= MAX_PRIME or not is_prime(self.p):
-            raise InvariantError(f"p = {self.p!r} is not a prime below 2**64")
-        coeffs = self.coefficients
+        (p,) = integer_entries((self.p,), "p")
+        object.__setattr__(self, "p", p)
+        coeffs = integer_entries(self.coefficients, "a minpoly coefficient")
+        object.__setattr__(self, "coefficients", coeffs)
+        if p >= MAX_PRIME or not is_prime(p):
+            raise InvariantError(f"p = {p!r} is not a prime below 2**64")
         if len(coeffs) < 3:
             raise InvariantError("minimal polynomial must have degree at least 2")
         if coeffs[-1] != 1:
@@ -340,16 +345,6 @@ def factor_mod_p(g: MinPolySpec, seed: int = 0) -> ModPFactorization:
     if result.product() != fbar:
         raise InternalCheckError("factorization product check failed")
     return result
-
-
-def _int_poly_mul(a, b) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
 
 
 def dedekind_p_maximal(g: MinPolySpec, fact: ModPFactorization) -> bool:

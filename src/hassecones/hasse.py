@@ -20,13 +20,12 @@ in the package.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .carousel import Carousel
-from .errors import DimensionMismatch, InternalCheckError, SchemaError
-from .profile import SplittingProfile
+from .errors import DimensionMismatch, InternalCheckError
+from .profile import SplittingProfile, integer_entries
 
 
 @dataclass(frozen=True)
@@ -46,18 +45,6 @@ class Weight:
 
     def __getitem__(self, index: int) -> int:
         return self.coords[index]
-
-
-def integer_entries(values, what: str) -> tuple[int, ...]:
-    """values as ints by operator.index; SchemaError for a bool or a non-integer, naming what an entry is."""
-    entries = tuple(values)
-    # bool has __index__ too, but True is not an integer entry
-    if bool in map(type, entries):
-        raise SchemaError(f"{what} must be an integer, not a boolean; got {entries!r}")
-    try:
-        return tuple(map(operator.index, entries))
-    except TypeError as exc:
-        raise SchemaError(f"{what} must be an integer; got {entries!r}") from exc
 
 
 def check_weight(c: Carousel, k: Weight) -> None:

@@ -10,6 +10,7 @@ minimal polynomial via ``parse_profile``.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 from .errors import InvariantError, SchemaError
@@ -57,8 +58,9 @@ class PrimeLocus:
     f: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.e, int) or not isinstance(self.f, int):
-            raise SchemaError("locus entries e, f must be integers")
+        e, f = integer_entries((self.e, self.f), "a locus entry (e or f)")
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "f", f)
         if self.e < 1 or self.f < 1:
             raise InvariantError(f"locus requires e >= 1 and f >= 1, got (e={self.e}, f={self.f})")
 
@@ -75,8 +77,8 @@ class SplittingProfile:
     loci: tuple[PrimeLocus, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.p, int):
-            raise SchemaError("p must be an integer")
+        (p,) = integer_entries((self.p,), "p")
+        object.__setattr__(self, "p", p)
         if self.p >= MAX_PRIME:
             raise InvariantError("p must be representable in 64 bits")
         if not is_prime(self.p):
@@ -102,11 +104,16 @@ class SplittingProfile:
         return {"p": self.p, "loci": [{"e": l.e, "f": l.f} for l in self.loci]}
 
 
-def _require_int(value, what: str) -> int:
-    # bool is an int subclass; reject it explicitly.
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{what} must be an integer, got {value!r}")
-    return value
+def integer_entries(values, what: str) -> tuple[int, ...]:
+    """values as ints by operator.index; SchemaError for a bool or a non-integer, naming what an entry is."""
+    entries = tuple(values)
+    # bool has __index__ too, but True is not an integer entry
+    if bool in map(type, entries):
+        raise SchemaError(f"{what} must be an integer, not a boolean; got {entries!r}")
+    try:
+        return tuple(map(operator.index, entries))
+    except TypeError as exc:
+        raise SchemaError(f"{what} must be an integer; got {entries!r}") from exc
 
 
 def profile_from_data(data: object) -> SplittingProfile:
@@ -116,7 +123,7 @@ def profile_from_data(data: object) -> SplittingProfile:
     keys = set(data)
     if "p" not in keys:
         raise SchemaError("profile document is missing required key 'p'")
-    p = _require_int(data["p"], "p")
+    (p,) = integer_entries((data["p"],), "p")
     if keys == {"p", "loci"}:
         raw = data["loci"]
         if not isinstance(raw, list) or not raw:
@@ -125,16 +132,15 @@ def profile_from_data(data: object) -> SplittingProfile:
         for entry in raw:
             if not isinstance(entry, dict) or set(entry) != {"e", "f"}:
                 raise SchemaError(f"each locus must be an object with keys e, f; got {entry!r}")
-            loci.append(PrimeLocus(_require_int(entry["e"], "e"), _require_int(entry["f"], "f")))
+            loci.append(PrimeLocus(entry["e"], entry["f"]))
         return SplittingProfile(p, tuple(loci))
     if keys == {"p", "minpoly"}:
         raw = data["minpoly"]
         if not isinstance(raw, list):
             raise SchemaError("'minpoly' must be a list of integer coefficients")
-        coeffs = tuple(_require_int(c, "minpoly coefficient") for c in raw)
         from .gfpoly import MinPolySpec, profile_from_minpoly
 
-        return profile_from_minpoly(MinPolySpec(coeffs, p))[0]
+        return profile_from_minpoly(MinPolySpec(raw, p))[0]
     raise SchemaError("profile document must have keys {p, loci} or {p, minpoly}")
 
 

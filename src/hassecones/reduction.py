@@ -26,7 +26,8 @@ from itertools import product
 
 from .carousel import Carousel
 from .errors import InvariantError, ReductionTooLong
-from .hasse import Weight, check_weight, coordinates_scaled, integer_entries
+from .hasse import Weight, check_weight, coordinates_scaled
+from .profile import integer_entries
 
 # One greedy step costs a few microseconds, so a walk at the cap takes
 # seconds; a weight allowed by the CLI's 10,000-bit cap can need about

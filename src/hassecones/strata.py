@@ -48,7 +48,8 @@ from typing import NamedTuple
 
 from .carousel import Carousel
 from .errors import ForeignEmbedding, InvariantError, MultiplierNotDividing, SingletonOrbit
-from .hasse import Weight, check_weight, integer_entries
+from .hasse import Weight, check_weight
+from .profile import integer_entries
 
 
 class PicardSummary(NamedTuple):
@@ -122,7 +123,7 @@ def torsion_summary(c: Carousel, bits: str) -> PicardSummary:
     Each locus gives the piece for the number of ones of bits in its block
     (see the module docstring).
     """
-    if len(bits) != c.d or bits.strip("01"):
+    if not isinstance(bits, str) or len(bits) != c.d or bits.strip("01"):
         raise InvariantError(f"stratum {bits!r} is not a bitstring of length {c.d}")
     p = c.profile.p
     return _combine(

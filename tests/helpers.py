@@ -1,12 +1,14 @@
-"""Shared test utilities: profile builders, exhaustive sweeps, exact
-linear-algebra oracles kept deliberately independent of the library code,
-the single reduction step and stratum closure the tests walk by hand, and the
-`picard` report row of one open stratum, built from its bitstring without
+"""Shared test utilities: profile builders, exhaustive sweeps, the exact
+elimination the tests take determinants and solves from, the single
+reduction step and stratum closure the tests walk by hand, and the `picard`
+report row of one open stratum, built from its bitstring without
 `hassecones.strata`.
 
-The oracles here use plain Gaussian elimination over Fraction and blind box
-search, so that agreement with the library is a real cross-check and not the
-same algorithm run twice.
+Plain Gaussian elimination over Fraction (fraction_determinant,
+fraction_inverse, fraction_solve and the Hasse coordinates oracle_coordinates
+reads off it) is the one reference for determinants and linear solves, and
+blind box search the one for decompositions, so that agreement with the
+library is a real cross-check and not the same algorithm run twice.
 """
 
 from fractions import Fraction
@@ -129,30 +131,6 @@ def fraction_determinant(rows) -> int:
                 mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
     assert det.denominator == 1
     return int(det)
-
-
-def fraction_rank(rows, ncols=None) -> int:
-    if not rows:
-        return 0
-    mat = fraction_matrix(rows)
-    ncols = len(mat[0]) if ncols is None else ncols
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = Fraction(1) / mat[row][col]
-        for r in range(len(mat)):
-            if r != row and mat[r][col] != 0:
-                factor = mat[r][col] * inv
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
-        rank += 1
-        row += 1
-        if row == len(mat):
-            break
-    return rank
 
 
 def fraction_inverse(rows):

@@ -9,9 +9,8 @@ run:
   * the carousel tables built from the rule for sigma on (locus, beta, i)
     triples, through a position dict, and each locus orbit walked by sigma:
     the reference for the arithmetic block rule of build_carousel;
-  * exact integer vectors (dot, content, primitive) and fraction-free
-    linear algebra: rank, Bareiss solve, integer adjugate;
-  * the Hasse coordinate solve through a cached integer adjugate;
+  * exact integer vectors (dot, content, primitive) and the rank over the
+    rationals that double description tests adjacency with;
   * double description (Fukuda & Prodon, "Double description method
     revisited", 1996) in both directions, capped at MAX_DD_DIMENSION;
   * the single-representation cones HRepCone and VRepCone they act on;
@@ -23,7 +22,8 @@ run:
     split, the reference for the packed residue ring and its Frobenius
     matrix, with the polynomial sum and evaluation it and the tests use.
 
-Names that clash with the library (coordinates_scaled, contains, cone_subset,
+Determinants and linear solves have one reference, the Fraction elimination
+of tests/helpers.py.  Names that clash with the library (contains, cone_subset,
 cone_equal, torsion_summary, distinct_degree_factorization,
 equal_degree_factorization) are meant to be used qualified: oracles.contains.
 """
@@ -32,14 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, prod
 
 from hassecones import gfpoly
 from hassecones.carousel import Carousel
 from hassecones.cones import MembershipCertificate, _canonical_rows
 from hassecones.errors import DimensionMismatch, DimensionTooLarge, InternalCheckError, InvariantError
-from hassecones.hasse import Weight, bareiss_determinant, check_weight, hasse_matrix
 from hassecones.profile import SplittingProfile
 from hassecones.strata import PicardSummary
 
@@ -136,10 +134,6 @@ def primitive(v) -> tuple[int, ...]:
     return tuple(x // g for x in v)
 
 
-def mat_vec(rows, v) -> tuple[int, ...]:
-    return tuple(dot(row, v) for row in rows)
-
-
 def rank(rows, ncols: int | None = None) -> int:
     """Rank over the rationals of a list of integer rows."""
     work = [list(row) for row in rows]
@@ -170,85 +164,6 @@ def rank(rows, ncols: int | None = None) -> int:
         if r == len(work):
             break
     return r
-
-
-def solve_exact(rows, rhs) -> tuple[Fraction, ...]:
-    """Solve A x = rhs for square nonsingular integer A; exact rational result.
-
-    Bareiss forward elimination on the augmented matrix, then Fraction
-    back-substitution.
-    """
-    n = len(rows)
-    m = [list(row) + [b] for row, b in zip(rows, rhs)]
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    break
-            else:
-                raise ValueError("matrix is singular")
-        for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    if m[n - 1][n - 1] == 0:
-        raise ValueError("matrix is singular")
-    x: list[Fraction] = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = Fraction(m[i][n])
-        for j in range(i + 1, n):
-            acc -= m[i][j] * x[j]
-        x[i] = acc / m[i][i]
-    return tuple(x)
-
-
-def adjugate_with_det(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Integer adjugate and determinant: adj(A) @ A = det(A) * I.
-
-    Columns of the adjugate are det * (solutions of A x = e_i); the scaled
-    entries are provably integral, which is asserted.
-    """
-    n = len(rows)
-    det = bareiss_determinant(rows)
-    if det == 0:
-        raise ValueError("matrix is singular")
-    adj = [[0] * n for _ in range(n)]
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        col = solve_exact(rows, e)
-        for i in range(n):
-            scaled = col[i] * det
-            if scaled.denominator != 1:
-                raise ValueError("adjugate entry not integral; elimination bug")
-            adj[i][j] = int(scaled)
-    return tuple(tuple(row) for row in adj), det
-
-
-# ---------------------------------------------------------------------------
-# Hasse coordinates through the integer adjugate
-
-
-@lru_cache(maxsize=None)
-def _solver(c: Carousel) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Adjugate rows and positive determinant for the carousel's Hasse matrix.
-
-    Normalized so the returned denominator is positive: y = (adj @ k) / den.
-    """
-    adj, det = adjugate_with_det(hasse_matrix(c))
-    if det < 0:
-        adj = tuple(tuple(-a for a in row) for row in adj)
-        det = -det
-    return adj, det
-
-
-def coordinates_scaled(c: Carousel, k: Weight) -> tuple[tuple[int, ...], int]:
-    """Hasse coordinates as (numerators, common positive denominator)."""
-    check_weight(c, k)
-    adj, den = _solver(c)
-    return mat_vec(adj, k.coords), den
 
 
 # ---------------------------------------------------------------------------

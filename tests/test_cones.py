@@ -8,12 +8,15 @@ their output, the chain read and `==` must agree with the oracle's subset
 and equality, and the oracles' own audits still run here (sampled
 nonnegative combinations of the computed rays satisfy every input
 inequality, and membership through the H-representation agrees with the
-exact Farkas check on the V-representation).
+exact Farkas check on the V-representation).  The integer vector helpers
+and the rank the double description uses are tested here too, the rank
+against numpy.
 """
 
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hassecones import (
@@ -65,6 +68,35 @@ def test_hasse_cone_rays_worked_examples():
     assert hasse_cone(carousel_of(2, [(2, 1)])).rays == ((-1, 2), (1, -1))
     # split profile: rays (2,0),(0,2) normalize to the unit vectors
     assert hasse_cone(carousel_of(3, [(1, 1), (1, 1)])).rays == ((0, 1), (1, 0))
+
+
+def test_rank_matches_numpy_matrix_rank():
+    # the rank double description tests adjacency with
+    rng = random.Random(32)
+    for _ in range(200):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
+        assert oracles.rank(rows) == np.linalg.matrix_rank(np.array(rows)), rows
+
+
+def test_rank_of_dependent_rows():
+    assert oracles.rank([[1, 2], [2, 4]]) == 1
+    assert oracles.rank([[0, 0], [0, 0]]) == 0
+    assert oracles.rank([[1, 0], [0, 1], [1, 1]]) == 2
+
+
+def test_content_and_primitive():
+    assert oracles.content((4, -6)) == 2
+    assert oracles.content((0, 0)) == 0
+    assert oracles.content((0, -5)) == 5
+    assert oracles.primitive((4, -6)) == (2, -3)
+    assert oracles.primitive((0, 0, 0)) == (0, 0, 0)
+    assert oracles.primitive((7,)) == (1,)
+    assert oracles.primitive((-3, -6)) == (-1, -2)  # direction preserved, gcd removed
+
+
+def test_dot_is_exact_on_big_integers():
+    assert oracles.dot((10**40, -(10**39)), (1, 10)) == 0
 
 
 def test_dd_worked_example_min_cone():

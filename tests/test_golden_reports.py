@@ -11,7 +11,8 @@ come one `picard --stratum` per profile of the same sweep, with bitstrings
 drawn from `random.Random(54321)`, and a malformed `--stratum` refusal, then
 the comma-separated integer lists that are refused (an empty field, a field
 with `_`), then integers refused for digits other than ASCII 0-9 or a `_`,
-so the earlier entries keep their argvs and digests.
+then larger `picard`, `profile` and `bridge` reports that check the report
+writer, so the earlier entries keep their argvs and digests.
 
 argparse wraps its usage and help text to the terminal width, so both the
 test and the generator fix COLUMNS.  When a report changes on purpose,
@@ -115,6 +116,30 @@ ASCII_INTEGER_ARGVS = [
 ]
 
 
+MIXED_6 = json.dumps({"p": 3, "loci": [{"e": 2, "f": 1}, {"e": 1, "f": 3}, {"e": 1, "f": 1}]})
+MIXED_10 = json.dumps({"p": 7, "loci": [{"e": 3, "f": 1}, {"e": 1, "f": 4}, {"e": 2, "f": 1}, {"e": 1, "f": 1}]})
+SPLIT_12 = json.dumps({"p": 2, "loci": [{"e": 1, "f": 1}] * 12})
+
+# Reports are written by cli.render, not by the json module, so these check
+# that writer on Python 3.10 too: the full d = 10 sweep on a large report, the
+# full totally split d = 12 sweep at p = 2 its tables and int-list memo where
+# each of the 4,096 strata is a parity class of its own, the single d = 64
+# stratum the one-stratum path of the torsion combiner with ~1,200-digit
+# orders, the single d = 10 stratum its per-block count of ones over four
+# loci, and `profile` the embedding labels.
+WRITER_ARGVS = [
+    ["picard", "--profile", MIXED_6],
+    ["picard", "--profile", MIXED_6, "--csv"],
+    ["picard", "--profile", MIXED_10],
+    ["picard", "--profile", MIXED_10, "--csv"],
+    ["picard", "--profile", MIXED_10, "--stratum", "1101011001"],
+    ["picard", "--profile", SPLIT_12],
+    ["picard", "--profile", INERT_64, "--stratum", "10" * 32, "--csv"],
+    ["profile", "--profile", MIXED_6],
+    ["bridge", "--profile", MIXED_6, "--weight=3,-1,4,1,-5,9", "--tau", "2", "--r", "2"],
+]
+
+
 def _weight(rng, d, radius):
     return ",".join(str(rng.randint(-radius, radius)) for _ in range(d))
 
@@ -130,7 +155,7 @@ def corpus():
         argvs.append(["reduce", "--profile", doc, "--weight=" + _weight(rng, d, 40)])
         tau, r = rng.randrange(d), rng.randint(1, 3)
         argvs.append(["bridge", "--profile", doc, "--weight=" + _weight(rng, d, 9), "--tau", str(tau), "--r", str(r)])
-    return argvs + EXTRA_ARGVS + _stratum_argvs() + LIST_REFUSAL_ARGVS + ASCII_INTEGER_ARGVS
+    return argvs + EXTRA_ARGVS + _stratum_argvs() + LIST_REFUSAL_ARGVS + ASCII_INTEGER_ARGVS + WRITER_ARGVS
 
 
 def _stratum_argvs():

@@ -1,4 +1,4 @@
-"""Hasse weight vectors, the Hasse matrix, and exact coordinate solves."""
+"""Hasse weight vectors, the Hasse matrix, its Bareiss determinant, and exact coordinate solves."""
 
 import random
 from fractions import Fraction
@@ -21,11 +21,11 @@ from hassecones.hasse import bareiss_determinant, check_weight, coordinates_scal
 from helpers import (
     carousel_of,
     exhaustive_profiles,
+    fraction_determinant,
     oracle_coordinates,
     profile_of,
     random_profile,
 )
-import oracles
 
 MERSENNE_61 = 2**61 - 1
 
@@ -66,6 +66,27 @@ def test_lattice_index_examples():
     assert hasse_lattice_index(profile_of(2, [(1, 2)])) == 3
     assert hasse_lattice_index(profile_of(2, [(2, 2)])) == 3
     assert hasse_lattice_index(profile_of(5, [(1, 3)])) == 124
+
+
+def test_bareiss_matches_fraction_gauss():
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        assert bareiss_determinant(rows) == fraction_determinant(rows)
+
+
+def test_bareiss_known_values():
+    assert bareiss_determinant([[2]]) == 2
+    assert bareiss_determinant([[1, 2], [3, 4]]) == -2
+    assert bareiss_determinant([[0, 1], [1, 0]]) == -1
+    assert bareiss_determinant([[1, 2], [2, 4]]) == 0
+    assert bareiss_determinant([]) == 1
+
+
+def test_bareiss_handles_zero_pivots():
+    rows = [[0, 0, 3], [0, 2, 0], [5, 0, 0]]
+    assert bareiss_determinant(rows) == fraction_determinant(rows) == -30
 
 
 def test_determinant_identity_exhaustive_small():
@@ -119,30 +140,28 @@ def test_coordinate_denominators_divide_lattice_index():
 
 
 def test_three_solver_routes_agree():
-    # the orbit closed form, the cached adjugate solve and direct Bareiss
-    # solve of the oracle module, and the test-local Fraction elimination
-    # must produce the same coordinates
+    # the orbit closed form and the test-local Fraction elimination must
+    # produce the same coordinates
     rng = random.Random(44)
     for _ in range(30):
         profile = random_profile(rng, (2, 3, 5), dmax=7)
         c = build_carousel(profile)
         k = Weight(tuple(rng.randint(-30, 30) for _ in range(c.d)))
-        via_orbits = hasse_coordinates(c, k)
-        nums, den = oracles.coordinates_scaled(c, k)
-        via_adjugate = tuple(Fraction(num, den) for num in nums)
-        via_solve = oracles.solve_exact([list(row) for row in hasse_matrix(c)], list(k))
-        via_oracle = oracle_coordinates(c, k)
-        assert via_orbits == via_adjugate == tuple(via_solve) == via_oracle
+        assert hasse_coordinates(c, k) == oracle_coordinates(c, k), (profile, k)
 
 
 def test_scaled_coordinates_equal_adjugate_oracle_exhaustive():
-    # numerators and denominator, not only the fractions they make
+    # numerators and denominator, not only the fractions they make: the
+    # numerators are y * L for the Fraction solve y, with L the lattice index
     rng = random.Random(45)
     for profile in exhaustive_profiles((2, 3, 5, 7), dmax=6):
         c = build_carousel(profile)
+        index = hasse_lattice_index(profile)
         for _ in range(3):
             k = Weight(tuple(rng.randint(-50, 50) for _ in range(c.d)))
-            assert coordinates_scaled(c, k) == oracles.coordinates_scaled(c, k), (profile, k)
+            scaled = [v * index for v in oracle_coordinates(c, k)]
+            assert all(v.denominator == 1 for v in scaled), (profile, k)
+            assert coordinates_scaled(c, k) == (tuple(map(int, scaled)), index), (profile, k)
 
 
 def _assert_solves(c, k, y):

@@ -6,6 +6,7 @@ import pytest
 
 from hassecones import (
     InvariantError,
+    MinPolySpec,
     PrimeLocus,
     SchemaError,
     SplittingProfile,
@@ -91,6 +92,27 @@ def test_malformed_documents_are_schema_errors():
     for document in bad_documents:
         with pytest.raises(SchemaError):
             parse_profile(document)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PrimeLocus(True, 2),
+        lambda: PrimeLocus(2, 1.0),
+        lambda: SplittingProfile(True, (PrimeLocus(1, 2),)),
+        lambda: SplittingProfile(2.0, (PrimeLocus(1, 2),)),
+        lambda: MinPolySpec((-1, -1, True), 5),
+        lambda: MinPolySpec((-1, -1.0, 1), 5),
+        lambda: MinPolySpec(("a", 1, 1), 5),
+        lambda: MinPolySpec((-1, -1, 1), True),
+    ],
+    ids=["locus-bool", "locus-float", "p-bool", "p-float", "coeff-bool", "coeff-float", "coeff-str", "minpoly-p-bool"],
+)
+def test_library_boundary_refuses_non_integers(build):
+    # a bool is not an integer entry, and a float or str is a schema fault,
+    # not a TypeError or a non-prime p (exit 3)
+    with pytest.raises(SchemaError):
+        build()
 
 
 def test_profile_from_data_requires_mapping():

@@ -76,6 +76,10 @@ def test_bitstring_rejects_garbage():
             torsion_summary(c, text)
         report, code = cli.run(["picard", "--profile", doc, "--stratum", text])
         assert code == 2 and report["error"]["type"] == "UsageError", text
+    # a bitstring is a str: a sequence of bits or a number is refused alike
+    for bits in (("1", "0"), ["1", "0"], b"10", 10, 2):
+        with pytest.raises(InvariantError):
+            torsion_summary(c, bits)
 
 
 def test_dimension_worked_examples():
