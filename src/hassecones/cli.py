@@ -37,10 +37,9 @@ from .hasse import (
 )
 from .profile import SplittingProfile, integer_entries, parse_profile, profile_from_data
 from .reduction import InMinCone, greedy_reduce, reducible_directions
-from .strata import bridge_agrees, fibre_degree, open_sweep, torsion_summary
+from .strata import MAX_SWEEP_DEGREE, bridge_agrees, fibre_degree, open_sweep, torsion_summary
 
 SCHEMA_VERSION = "1"
-MAX_SWEEP_DEGREE = 12
 # p**r is exact, so its size grows with r without bound: at r = 10,000 the
 # fibre degree already has more digits than CPython will print.
 MAX_BRIDGE_POWER = 64

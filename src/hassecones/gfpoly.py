@@ -9,14 +9,16 @@ criterion, and the derivation of a splitting profile from a minimal
 polynomial.
 
 `Residues` holds each element of GF(p)[x]/(f) as one Python int, its
-coefficients packed into byte-aligned slots (Kronecker substitution), so a
-product of two residues is one big-int multiplication and the reduction mod f
-a sum of small multiples of precomputed packed rows x^(n+k) mod f.
-Distinct-degree factorization raises x to the p-th power once and then reads
-every x^(p^d) off the Frobenius matrix, the packed rows x^(ip) mod f, as one
-linear combination (von zur Gathen & Shoup, "Computing Frobenius maps and
-factoring polynomials", 1992); equal-degree splitting takes its powers and
-traces in the same ring.
+coefficients in Montgomery form packed into byte-aligned slots (Kronecker
+substitution).  A product of two residues is one big-int multiplication; one
+Montgomery step of a few whole-int operations reduces all its slots mod p at
+once (by the low bit in characteristic 2), and Barrett's quotient, two more
+products, reduces it mod f.  Multiplying by x shifts one slot, so x^e is
+square-and-shift.  Distinct-degree factorization raises x to the p-th power
+once and then reads every x^(p^d) off the Frobenius matrix, the packed rows
+x^(ip) mod f, as one linear combination (von zur Gathen & Shoup, "Computing
+Frobenius maps and factoring polynomials", 1992); equal-degree splitting
+takes its powers and traces in the same ring.
 """
 
 from __future__ import annotations
@@ -153,55 +155,79 @@ def squarefree_decomposition(f: Poly, p: int) -> list[tuple[Poly, int]]:
 class Residues:
     """The ring GF(p)[x]/(f) for monic f of degree n >= 1; an element is one int.
 
-    The element with coefficients c_0 .. c_(n-1) in [0, p) is the sum of
-    c_i << (8 * width * i).  A slot of `width` bytes holds
-    2 bitlen(p) + bitlen(2n) + 1 bits: a slot of a product of two elements is
-    at most n (p-1)^2, the reduction adds at most (n-1) (p-1)^2, and
-    (2n - 1) (p-1)^2 < 2^(2 bitlen(p) + bitlen(2n)), so no slot carries into
-    the next before the coefficients are read back mod p.  A linear
-    combination of at most 2n elements with coefficients in [0, p), such as
-    the Frobenius matrix applied to a residue, fits the same way.
+    Slot i, bits [8 width i, 8 width (i + 1)), holds c_i R mod p lazily in
+    [0, 2p) (Montgomery form), where R = 2^r is the least power of two above
+    8np and a slot holds 2r bits.  With M = R - 1 in every slot and
+    p' = -1/p mod R, t = ((v & M) p') & M makes every slot of v + t p a
+    multiple of R, so (v + t p) >> r reduces all slots at once to v_i/R mod p.
+    If every v_i < pR, as all below 8np^2 are, no slot carries, as
+    (R - 1)^2 < 2^(2r) and v_i + t_i p < 2pR <= R^2, and each result slot is
+    below v_i/R + p < 2p.  A product v of two elements, also when shifted one
+    slot (times x), has slots below n (2p)^2 = 4np^2.  Barrett's quotient
+    q = (H mu) div x^(n-1), with H the n high slots of v reduced and
+    mu = x^(2n-1) div f, has slots below 4np^2 before its reduction, and
+    v mod f, the low n slots of v + q (x^n mod f), below 8np^2.  The
+    coefficient of x^(n-1-k) in mu is the top slot of x^(n-1+k) mod f, each
+    the previous times x: a shift that folds the old top slot with x^n mod f
+    (below 6p^2).  A combination of up to 2n elements with coefficients in
+    [0, p), such as the Frobenius matrix applied to a residue, stays below
+    4np^2 and reads back as its polynomial.  Characteristic 2 has no
+    Montgomery inverse: R = 1, a slot keeps its low bit, and its
+    bitlen(2n) + 1 bits hold the up to 2n a fold adds.
     """
 
     def __init__(self, f: Poly, p: int):
         n = degree(f)
         self.f, self.p, self.n = f, p, n
-        self.width = (2 * p.bit_length() + (2 * n).bit_length() + 1 + 7) // 8
-        self._shift = 8 * self.width * n
-        self._low = (1 << self._shift) - 1
-        self.one = 1
-        # rows[k] = x^(n+k) mod f for k = 0 .. n-2, the reduction matrix
-        row = [-c % p for c in f[:n]]
-        rows = []
-        for _ in range(n - 1):
-            rows.append(self._pack(row))
-            top = row[-1]
-            row = [(prev - top * c) % p for prev, c in zip([0] + row[:-1], f)]
-        self._rows = rows
+        r = self._r = self._radix_bits()
+        self.width = (max(2 * r, (2 * n).bit_length() + 1) + 7) // 8
+        bits = self._bits = 8 * self.width
+        self._shift, self._low = bits * n, (1 << bits * n) - 1
+        ones = self._low // ((1 << bits) - 1)
+        self._mask, self._pinv = ones * ((1 << r) - 1), -pow(p, -1, 1 << r) % (1 << r)
+        self._reduce = self._montgomery if r else ones.__and__
+        self._r2, self.one = (1 << 2 * r) % p, (1 << r) % p
+        xn = self._xn = self.element((0,) * n + (1,))
+        top_at, row, mu = bits * (n - 1), self.one << bits * (n - 1), 0
+        for k in range(n):
+            top = row >> top_at
+            mu |= top << (top_at - bits * k)
+            row = self._reduce(((row << bits) & self._low) * self.one + top * xn)
+        self._mu = mu
+
+    def _radix_bits(self) -> int:
+        return (8 * self.n * self.p).bit_length() if self.p > 2 else 0
+
+    def _montgomery(self, v: int) -> int:
+        mask = self._mask
+        return (v + ((v & mask) * self._pinv & mask) * self.p) >> self._r
 
     def _pack(self, coeffs) -> int:
         w = self.width
         return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in coeffs), "little")
 
-    def _slots(self, packed: int, count: int) -> list[int]:
-        """The first `count` slots of a nonnegative packed int, each reduced mod p."""
-        w, p = self.width, self.p
-        raw = packed.to_bytes(w * count, "little")
-        return [int.from_bytes(raw[i : i + w], "little") % p for i in range(0, w * count, w)]
+    def _slots(self, packed: int) -> list[int]:
+        """The n slots of a nonnegative packed int."""
+        w = self.width
+        raw = packed.to_bytes(w * self.n, "little")
+        return [int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w)]
+
+    def _fold(self, v: int) -> int:
+        """The element of a packed product of degree below 2n."""
+        q = self._reduce((self._reduce(v >> self._shift) * self._mu) >> (self._shift - self._bits))
+        return self._reduce((v + q * self._xn) & self._low)
 
     def element(self, a: Poly) -> int:
         """The residue of the polynomial a."""
-        return self._pack(mod(a, self.f, self.p))
+        return self._reduce(self._pack(mod(a, self.f, self.p)) * self._r2)
 
     def poly(self, packed: int) -> Poly:
         """The polynomial of an element, or of a linear combination of elements as above."""
-        return trim(self._slots(packed, self.n))
+        p = self.p
+        return trim(c % p for c in self._slots(self._reduce(packed)))
 
     def mul(self, a: int, b: int) -> int:
-        product = a * b
-        high = self._slots(product >> self._shift, self.n - 1)
-        reduced = (product & self._low) + sum(map(operator.mul, high, self._rows))
-        return self._pack(self._slots(reduced, self.n))
+        return self._fold(a * b)
 
     def pow(self, a: int, e: int) -> int:
         """a**e by left-to-right square-and-multiply; e >= 0."""
@@ -212,6 +238,13 @@ class Residues:
             result = self.mul(result, result)
             if bit == "1":
                 result = self.mul(result, a)
+        return result
+
+    def x_pow(self, e: int) -> int:
+        """x**e by left-to-right square-and-shift; e >= 0."""
+        result = self.one
+        for bit in bin(e)[2:]:
+            result = self._fold((result * result) << (self._bits if bit == "1" else 0))
         return result
 
 
@@ -228,7 +261,7 @@ def distinct_degree_factorization(f: Poly, p: int) -> list[tuple[Poly, int]]:
     n = degree(f)
     if n >= 2:
         ring = Residues(f, p)
-        xp = ring.pow(ring.element(X), p)
+        xp = ring.x_pow(p)
         frobenius = [ring.one]
         for _ in range(n - 1):
             frobenius.append(ring.mul(frobenius[-1], xp))

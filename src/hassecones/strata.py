@@ -139,8 +139,15 @@ def within_torsion_bound(c: Carousel, summary: PicardSummary) -> bool:
     return all(_divides_bound(p, locus.f, orders[j]) for block, locus in zip(c.blocks, c.profile.loci) for j in block)
 
 
+# caps the 2^d strata of open_sweep and the 2^(number of loci) parity classes
+MAX_SWEEP_DEGREE = 12
+
+
 def parity_classes(c: Carousel) -> list[PicardSummary]:
     """The open-stratum torsion of each class, at the index whose bits, locus 0 first, are the parities."""
+    loci = len(c.profile.loci)
+    if loci > MAX_SWEEP_DEGREE:
+        raise InvariantError(f"{loci} loci > MAX_SWEEP_DEGREE = {MAX_SWEEP_DEGREE}: 2^{loci} parity classes")
     p = c.profile.p
     return _combine(
         [_locus_piece(p, locus.f, len(block), hits) for hits in (0, 1)]
@@ -153,6 +160,8 @@ def open_sweep(c: Carousel) -> list[tuple[str, int, PicardSummary]]:
 
     Agrees with torsion_summary and within_torsion_bound on every T.
     """
+    if c.d > MAX_SWEEP_DEGREE:
+        raise InvariantError(f"degree {c.d} > MAX_SWEEP_DEGREE = {MAX_SWEEP_DEGREE}: 2^{c.d} open strata")
     classes = parity_classes(c)
     strata = [("", 0, 0)]
     for block in c.blocks:

@@ -141,6 +141,90 @@ def test_residue_ring_matches_schoolbook(p):
                 assert ring.poly(ring.pow(ring.element(a), e)) == powmod(a, e, f, p)
 
 
+class _CheckedResidues(Residues):
+    """The ring asserting its docstring's bound: every slot it reduces is below p R."""
+
+    def _montgomery(self, v):
+        assert max(self._slots(v)) < self.p << self._r, (self.p, self.n)
+        return super()._montgomery(v)
+
+
+class _NarrowResidues(_CheckedResidues):
+    """One bit less of R than the bound asks for."""
+
+    def _radix_bits(self):
+        return super()._radix_bits() - 1
+
+
+def _check_worst_case(ring_class, f, p):
+    """Packed products at the ring's bounds against schoolbook mul/mod.
+
+    Every slot of the inputs is at the lazy maximum, 2p - 1 (the bit 1 when
+    p = 2); every slot of every result must lie in [0, 2p).
+    """
+    n = degree(f)
+    ring = ring_class(f, p)
+    top = 2 * p - 1 if p > 2 else 1
+
+    def element_checked(packed):
+        assert max(ring._slots(packed)) <= top, (p, n)
+        return ring.poly(packed)
+
+    a = sum(top << (8 * ring.width * i) for i in range(n))
+    poly_a = ring.poly(a)
+    square = element_checked(ring.mul(a, a))
+    assert square == mod(mul(poly_a, poly_a, p), f, p), (p, n)
+    # the square times x is the square shifted by one slot before its fold
+    assert element_checked(ring._fold((a * a) << 8 * ring.width)) == mod(mul(square, X, p), f, p), (p, n)
+    # a linear combination of 2n elements with coefficients p - 1
+    assert ring.poly(a * (p - 1) * 2 * n) == normalize([c * (p - 1) * 2 * n for c in poly_a], p), (p, n)
+    b, poly_b = a, poly_a
+    for _ in range(6):
+        b, poly_b = ring.mul(b, b), mod(mul(poly_b, poly_b, p), f, p)
+        assert element_checked(b) == poly_b, (p, n)
+    for e in (p, 2 * n + 1):
+        assert element_checked(ring.x_pow(e)) == powmod(X, e, f, p), (p, n, e)
+
+
+def _bound_cases(p):
+    # every low coefficient of f at p - 1, and a random f
+    rng = random.Random(p)
+    for n in (1, 2, 17, 64):
+        yield (p - 1,) * n + (1,)
+        yield _random_monic(rng, n, p)
+
+
+@pytest.mark.parametrize("p", RING_PRIMES)
+def test_residue_ring_at_its_bounds(p):
+    for f in _bound_cases(p):
+        _check_worst_case(_CheckedResidues, f, p)
+
+
+def test_narrow_ring_fails_at_its_bounds():
+    # Negative control: with R = 2^(r - 1) the same inputs pass the reduction
+    # a slot of at least p R (at 2^64 - 59 and 2^61 - 1, where R = 8np up to
+    # rounding), so the check is sharp to one bit of R.  Characteristic 2
+    # has no R to narrow.
+    failed = []
+    for p in RING_PRIMES[1:]:
+        for f in _bound_cases(p):
+            try:
+                _check_worst_case(_NarrowResidues, f, p)
+            except AssertionError:
+                failed.append((p, degree(f)))
+    assert {2**61 - 1, 2**64 - 59} <= {p for p, _ in failed}, failed
+
+
+@pytest.mark.parametrize("p", RING_PRIMES)
+def test_x_power_by_square_and_shift(p):
+    rng = random.Random(p + 1)
+    for n in (1, 2, 17, 64):
+        f = _random_monic(rng, n, p)
+        ring = Residues(f, p)
+        for e in (0, 1, 2, p, rng.randrange(p * p)):
+            assert ring.poly(ring.x_pow(e)) == powmod(X, e, f, p), (n, e)
+
+
 def test_factorization_stages_equal_oracle_exhaustive():
     # Every squarefree piece of a monic polynomial of degree <= 6 is one of
     # these, so both stages are compared on every input factor_mod_p can

@@ -10,6 +10,7 @@ every row of a full sweep must equal.
 import json
 import random
 from itertools import combinations, product
+from time import perf_counter
 
 import pytest
 
@@ -271,6 +272,26 @@ def test_parity_classes_agree_with_torsion_summary():
             summary = torsion_summary(c, bits)
             assert classes[key] == summary, (profile, bits)
             assert summary.within_bound == within_torsion_bound(c, summary)
+
+
+def test_sweeps_refuse_above_the_cap_at_once():
+    # 64 totally split loci at p = 2^64 - 59 have 2^64 parity classes and
+    # strata: both sweeps refuse before building any
+    c = carousel_of(2**64 - 59, [(1, 1)] * 64)
+    start = perf_counter()
+    with pytest.raises(InvariantError, match=r"^64 loci > MAX_SWEEP_DEGREE = 12"):
+        parity_classes(c)
+    with pytest.raises(InvariantError, match=r"^degree 64 > MAX_SWEEP_DEGREE = 12"):
+        strata.open_sweep(c)
+    assert perf_counter() - start < 0.5
+    # one inert locus of degree 13: two classes, but 2^13 strata
+    c = carousel_of(3, [(1, 13)])
+    assert len(parity_classes(c)) == 2
+    with pytest.raises(InvariantError, match=r"^degree 13 > MAX_SWEEP_DEGREE = 12"):
+        strata.open_sweep(c)
+    # at the cap both sweeps run
+    c = carousel_of(13, [(1, 1)] * 12)
+    assert len(parity_classes(c)) == len(strata.open_sweep(c)) == 2**12
 
 
 def test_torsion_bound_rejects_orders_off_the_bound():
