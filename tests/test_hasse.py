@@ -139,6 +139,17 @@ def test_coordinate_denominators_divide_lattice_index():
                 assert index % v.denominator == 0
 
 
+def test_three_solver_routes_agree():
+    # the orbit closed form and the test-local Fraction elimination must
+    # produce the same coordinates
+    rng = random.Random(44)
+    for _ in range(30):
+        profile = random_profile(rng, (2, 3, 5), dmax=7)
+        c = build_carousel(profile)
+        k = Weight(tuple(rng.randint(-30, 30) for _ in range(c.d)))
+        assert hasse_coordinates(c, k) == oracle_coordinates(c, k), (profile, k)
+
+
 def test_scaled_coordinates_equal_fraction_oracle_exhaustive():
     # numerators and denominator, not only the fractions they make: the
     # numerators are y * L for the Fraction solve y, with L the lattice index
@@ -159,15 +170,11 @@ def _assert_solves(c, k, y):
 
 
 def test_coordinates_on_random_profiles_up_to_degree_16():
-    # the orbit closed form solves M y = k and equals the test-local Fraction
-    # elimination: on 30 profiles of degree at most 7 with small weights, and
-    # on 25 of degree 9 to 16 over primes up to 2^61 - 1
-    small, large = random.Random(44), random.Random(46)
-    cases = [(small, random_profile(small, (2, 3, 5), dmax=7), 30) for _ in range(30)]
-    cases += [(large, random_profile(large, (2, 3, 5, 7, 101, MERSENNE_61), dmax=16, dmin=9), 10**6) for _ in range(25)]
-    for rng, profile, bound in cases:
+    rng = random.Random(46)
+    for _ in range(25):
+        profile = random_profile(rng, (2, 3, 5, 7, 101, MERSENNE_61), dmax=16, dmin=9)
         c = build_carousel(profile)
-        k = Weight(tuple(rng.randint(-bound, bound) for _ in range(c.d)))
+        k = Weight(tuple(rng.randint(-(10**6), 10**6) for _ in range(c.d)))
         y = hasse_coordinates(c, k)
         _assert_solves(c, k, y)
         assert y == oracle_coordinates(c, k), (profile, k)
