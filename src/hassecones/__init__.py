@@ -24,7 +24,6 @@ from .cones import (
 )
 from .errors import (
     DimensionMismatch,
-    DimensionTooLarge,
     ForeignEmbedding,
     HasseConesError,
     InternalCheckError,

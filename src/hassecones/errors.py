@@ -38,10 +38,6 @@ class DimensionMismatch(HasseConesError):
     """A vector's length disagrees with the ambient dimension."""
 
 
-class DimensionTooLarge(HasseConesError):
-    """An input's degree exceeds a documented cap (the selftest panel's)."""
-
-
 class SingletonOrbit(HasseConesError):
     """A fibre-degree computation needs an orbit of length at least two."""
 

@@ -21,12 +21,12 @@ Each locus thus gives one piece: its unit invariant factors, a_P, its block
 of torsion orders, and whether a_P divides the bound p**(2f) - 1.  One
 combiner joins pieces into PicardSummary tuples: torsion_summary one piece
 per locus, counting the ones of the bitstring in the locus's block,
-parity_classes the even and the odd piece of each.  The torsion of T
-depends on T only through the parities of |T cap P|, and the invariant
-factors only through the multiset of the a_P, so open_sweep reads one
-summary per parity class, with one divisor chain per multiset; the blocks
-are consecutive in locus order, so the 2^d bitstrings in lexicographic order
-are the product of each block's 2^|P| patterns.
+open_sweep the even and the odd piece of each.  The torsion of T depends on
+T only through the parities of |T cap P|, and the invariant factors only
+through the multiset of the a_P, so open_sweep reads one summary per parity
+class, with one divisor chain per multiset; the blocks are consecutive in
+locus order, so the 2^d bitstrings in lexicographic order are the product of
+each block's 2^|P| patterns.
 
 As a_P = p**f -+ 1 divides (p**f - 1)(p**f + 1) = p**(2f) - 1, the verdict
 is "pass" on every stratum the input contract allows: it guards against a
@@ -139,30 +139,25 @@ def within_torsion_bound(c: Carousel, summary: PicardSummary) -> bool:
     return all(_divides_bound(p, locus.f, orders[j]) for block, locus in zip(c.blocks, c.profile.loci) for j in block)
 
 
-# caps the 2^d strata of open_sweep and the 2^(number of loci) parity classes
+# caps the 2^d strata of open_sweep, and with them its 2^(number of loci)
+# parity classes: every locus has at least one embedding
 MAX_SWEEP_DEGREE = 12
-
-
-def parity_classes(c: Carousel) -> list[PicardSummary]:
-    """The open-stratum torsion of each class, at the index whose bits, locus 0 first, are the parities."""
-    loci = len(c.profile.loci)
-    if loci > MAX_SWEEP_DEGREE:
-        raise InvariantError(f"{loci} loci > MAX_SWEEP_DEGREE = {MAX_SWEEP_DEGREE}: 2^{loci} parity classes")
-    p = c.profile.p
-    return _combine(
-        [_locus_piece(p, locus.f, len(block), hits) for hits in (0, 1)]
-        for block, locus in zip(c.blocks, c.profile.loci)
-    )
 
 
 def open_sweep(c: Carousel) -> list[tuple[str, int, PicardSummary]]:
     """(bitstring, |T|, torsion of T) for every open stratum T, bitstrings in lexicographic order.
 
-    Agrees with torsion_summary and within_torsion_bound on every T.
+    Agrees with torsion_summary and within_torsion_bound on every T.  Each
+    stratum reads the summary of its parity class, the class at the index
+    whose bits, locus 0 first, are its per-locus parities.
     """
     if c.d > MAX_SWEEP_DEGREE:
         raise InvariantError(f"degree {c.d} > MAX_SWEEP_DEGREE = {MAX_SWEEP_DEGREE}: 2^{c.d} open strata")
-    classes = parity_classes(c)
+    p = c.profile.p
+    classes = _combine(
+        [_locus_piece(p, locus.f, len(block), hits) for hits in (0, 1)]
+        for block, locus in zip(c.blocks, c.profile.loci)
+    )
     strata = [("", 0, 0)]
     for block in c.blocks:
         patterns = [("".join(bits), bits.count("1")) for bits in product("01", repeat=len(block))]

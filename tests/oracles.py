@@ -12,12 +12,15 @@ run:
   * exact integer vectors (dot, content, primitive) and the rank over the
     rationals that double description tests adjacency with;
   * double description (Fukuda & Prodon, "Double description method
-    revisited", 1996) in both directions, capped at MAX_DD_DIMENSION;
+    revisited", 1996) in both directions, capped at MAX_DD_DIMENSION
+    (DimensionCapExceeded);
   * the single-representation cones HRepCone and VRepCone they act on;
   * membership in a V-representation by an exact phase-I simplex over
     Fraction with Bland's rule, and subset/equality built on it;
   * the Picard relation rows of a stratum, their Smith normal form with
     unimodular transforms, and torsion orders read off its transform;
+  * the bridge identity walked over every weight of a box, the reference
+    for selftest's check on the unit weights;
   * factorization over GF(p) by one schoolbook `powmod` per degree and per
     split, the reference for the packed residue ring and its Frobenius
     matrix, with the polynomial sum and evaluation it and the tests use.
@@ -32,16 +35,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd, prod
 
 from hassecones import gfpoly
 from hassecones.carousel import Carousel
 from hassecones.cones import MembershipCertificate, _canonical_rows
-from hassecones.errors import DimensionMismatch, DimensionTooLarge, InternalCheckError, InvariantError
+from hassecones.errors import DimensionMismatch, InternalCheckError, InvariantError
+from hassecones.hasse import Weight
 from hassecones.profile import SplittingProfile
-from hassecones.strata import PicardSummary
+from hassecones.reduction import reducible_directions
+from hassecones.selftest import BRIDGE_POWERS
+from hassecones.strata import PicardSummary, bridge_agrees
 
 MAX_DD_DIMENSION = 16
+
+
+class DimensionCapExceeded(Exception):
+    """Double description was asked for a cone above MAX_DD_DIMENSION."""
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +241,7 @@ def _dd_generators(constraints, dim: int) -> tuple[tuple[int, ...], ...]:
 def dd_h_to_v(cone: HRepCone) -> VRepCone:
     """Extreme rays (plus +/- a lineality basis) of an H-represented cone."""
     if cone.dim > MAX_DD_DIMENSION:
-        raise DimensionTooLarge(f"double description capped at dimension {MAX_DD_DIMENSION}")
+        raise DimensionCapExceeded(f"double description capped at dimension {MAX_DD_DIMENSION}")
     generators = _dd_generators(cone.normals, cone.dim)
     if not generators:
         return VRepCone(cone.dim, ())
@@ -240,7 +251,7 @@ def dd_h_to_v(cone: HRepCone) -> VRepCone:
 def dd_v_to_h(cone: VRepCone) -> HRepCone:
     """Facet normals of a V-represented cone, via double description on the dual."""
     if cone.dim > MAX_DD_DIMENSION:
-        raise DimensionTooLarge(f"double description capped at dimension {MAX_DD_DIMENSION}")
+        raise DimensionCapExceeded(f"double description capped at dimension {MAX_DD_DIMENSION}")
     normals = _dd_generators(cone.rays, cone.dim)
     return HRepCone(cone.dim, normals)
 
@@ -569,6 +580,30 @@ def torsion_summary(c: Carousel, bits: str) -> PicardSummary:
                 raise InternalCheckError(f"torsion order {orders[j]} at index {j} does not divide p^2f-1 = {bound}")
         offset += locus_data.degree
     return PicardSummary(facs, orders, prod(moduli), True)
+
+
+# ---------------------------------------------------------------------------
+# The bridge identity on a box of weights
+
+
+BRIDGE_BOX = 2
+
+
+def bridge_walk(c: Carousel) -> bool:
+    """Whether bridge_agrees holds at every weight of [-BRIDGE_BOX, BRIDGE_BOX]^d.
+
+    Every position on an orbit of length at least two and every power of
+    selftest's BRIDGE_POWERS, at each of the (2 * BRIDGE_BOX + 1)**d weights.
+    """
+    positions = [j for j in range(c.d) if c.sigma_table[j] != j]
+    for coords in product(range(-BRIDGE_BOX, BRIDGE_BOX + 1), repeat=c.d):
+        k = Weight(coords)
+        reducible = set(reducible_directions(c, k))
+        for j in positions:
+            for r in BRIDGE_POWERS:
+                if not bridge_agrees(c, k, j, r, reducible):
+                    return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from hassecones import SplittingProfile, cli, cones, errors, gfpoly
 from hassecones.cli import MAX_BRIDGE_POWER, MAX_WEIGHT_BITS, UsageError, main, render, run
 from hassecones.profile import profile_from_data
-from hassecones.selftest import MAX_PANEL_DEGREE
 
 from helpers import profile_of
 
@@ -380,7 +379,6 @@ EXIT_STATUS = {
     errors.SchemaError: 2,
     errors.ForeignEmbedding: 2,
     errors.DimensionMismatch: 2,
-    errors.DimensionTooLarge: 2,
     errors.SingletonOrbit: 2,
     errors.MultiplierNotDividing: 2,
     errors.ReductionTooLong: 2,
@@ -445,18 +443,6 @@ def test_selftest_empty_panel_is_vacuous(capsys):
     assert report["payload"]["vacuous"] is True
     assert report["payload"]["checks"] == []
     assert "vacuous" in capsys.readouterr().err
-
-
-def test_selftest_panel_refuses_degree_above_cap():
-    assert MAX_PANEL_DEGREE == 7
-    panel = json.dumps([{"p": 2, "loci": [{"e": 2, "f": 1}]}, {"p": 3, "loci": [{"e": 1, "f": 8}]}])
-    start = perf_counter()
-    report, code = run(["selftest", "--panel", panel])
-    assert perf_counter() - start < 1.0
-    assert code == 2
-    assert report["error"]["type"] == "DimensionTooLarge"
-    message = report["error"]["message"]
-    assert "degree 8" in message and "d <= 7" in message
 
 
 def test_selftest_custom_panel():
@@ -711,8 +697,7 @@ def _degree(data):
     return sum(locus["e"] * locus["f"] for locus in data["loci"])
 
 
-# the bridge check walks 5^d weights, so panel entries stay small or above the cap
-PANEL = st.lists(PROFILE_DATA.filter(lambda data: not 4 < _degree(data) <= MAX_PANEL_DEGREE), max_size=2)
+PANEL = st.lists(PROFILE_DATA, max_size=2)
 COMMANDS = {
     "profile": ["--profile"],
     "cones": ["--profile"],

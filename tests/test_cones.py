@@ -21,7 +21,6 @@ import pytest
 
 from hassecones import (
     DimensionMismatch,
-    DimensionTooLarge,
     InternalCheckError,
     InvariantError,
     SimplicialCone,
@@ -154,7 +153,7 @@ def test_dd_drops_redundant_rows():
 def test_dimension_cap_applies_to_dd_only():
     rows = [tuple(1 if i == j else 0 for j in range(17)) for i in range(17)]
     big = HRepCone.from_rows(rows, dim=17)
-    with pytest.raises(DimensionTooLarge):
+    with pytest.raises(oracles.DimensionCapExceeded):
         oracles.dd_h_to_v(big)
     # membership through the H-representation has no cap
     assert oracles.contains(big, tuple(1 for _ in range(17))).member

@@ -12,7 +12,8 @@ drawn from `random.Random(54321)`, and a malformed `--stratum` refusal, then
 the comma-separated integer lists that are refused (an empty field, a field
 with `_`), then integers refused for digits other than ASCII 0-9 or a `_`,
 then larger `picard`, `profile` and `bridge` reports that check the report
-writer, so the earlier entries keep their argvs and digests.
+writer, then `selftest` panels at d = 64, so the earlier entries keep their
+argvs and digests.
 
 argparse wraps its usage and help text to the terminal width, so both the
 test and the generator fix COLUMNS.  When a report changes on purpose,
@@ -139,6 +140,27 @@ WRITER_ARGVS = [
     ["bridge", "--profile", MIXED_6, "--weight=3,-1,4,1,-5,9", "--tau", "2", "--r", "2"],
 ]
 
+# selftest at the largest degree the input contract allows: inert, ramified
+# and totally split at p = 2^64 - 59, and the negative control on all three
+# with eight (2, 4) loci at p = 3
+INERT_64_LOCI = [{"e": 1, "f": 64}]
+RAMIFIED_64_LOCI = [{"e": 64, "f": 1}]
+SPLIT_64_LOCI = [{"e": 1, "f": 1}] * 64
+SELFTEST_64_ARGVS = [
+    ["selftest", "--panel", json.dumps([{"p": BIG_P, "loci": INERT_64_LOCI}])],
+    ["selftest", "--panel", json.dumps([{"p": BIG_P, "loci": RAMIFIED_64_LOCI}])],
+    ["selftest", "--panel", json.dumps([{"p": BIG_P, "loci": SPLIT_64_LOCI}])],
+    [
+        "selftest",
+        "--panel",
+        json.dumps(
+            [{"p": BIG_P, "loci": loci} for loci in (INERT_64_LOCI, RAMIFIED_64_LOCI, SPLIT_64_LOCI)]
+            + [{"p": 3, "loci": [{"e": 2, "f": 4}] * 8}]
+        ),
+        "--debug-bad-hasse",
+    ],
+]
+
 
 def _weight(rng, d, radius):
     return ",".join(str(rng.randint(-radius, radius)) for _ in range(d))
@@ -155,7 +177,7 @@ def corpus():
         argvs.append(["reduce", "--profile", doc, "--weight=" + _weight(rng, d, 40)])
         tau, r = rng.randrange(d), rng.randint(1, 3)
         argvs.append(["bridge", "--profile", doc, "--weight=" + _weight(rng, d, 9), "--tau", str(tau), "--r", str(r)])
-    return argvs + EXTRA_ARGVS + _stratum_argvs() + LIST_REFUSAL_ARGVS + ASCII_INTEGER_ARGVS + WRITER_ARGVS
+    return argvs + EXTRA_ARGVS + _stratum_argvs() + LIST_REFUSAL_ARGVS + ASCII_INTEGER_ARGVS + WRITER_ARGVS + SELFTEST_64_ARGVS
 
 
 def _stratum_argvs():

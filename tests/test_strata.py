@@ -9,6 +9,7 @@ every row of a full sweep must equal.
 
 import json
 import random
+from dataclasses import replace
 from itertools import combinations, product
 from time import perf_counter
 
@@ -27,8 +28,8 @@ from hassecones import (
     within_torsion_bound,
 )
 from hassecones import cli
-from hassecones import selftest, strata
-from hassecones.strata import PicardSummary, parity_classes
+from hassecones import reduction, selftest, strata
+from hassecones.strata import PicardSummary
 
 from helpers import (
     carousel_of,
@@ -38,7 +39,6 @@ from helpers import (
     panel_carousels,
     profile_of,
     stratum_row,
-    weight_box,
 )
 import oracles
 from oracles import invariant_factors, picard_relations, smith_normal_form
@@ -260,38 +260,58 @@ def test_torsion_closed_form_at_degree_64():
 
 
 def test_parity_classes_agree_with_torsion_summary():
-    # every open stratum reads its class: the same torsion summary and verdict
+    # every open stratum reads the summary of its class of per-locus
+    # parities, the one torsion_summary gives it, with the same verdict
     for profile in exhaustive_profiles((2, 3, 5), dmax=6):
         c = build_carousel(profile)
-        classes = parity_classes(c)
-        assert len(classes) == 2 ** len(profile.loci)
-        for bits in _all_strata(c.d):
-            key = 0
-            for block in c.blocks:
-                key = 2 * key + bits[block.start : block.stop].count("1") % 2
-            summary = torsion_summary(c, bits)
-            assert classes[key] == summary, (profile, bits)
+        rows = strata.open_sweep(c)
+        assert [text for text, _, _ in rows] == _all_strata(c.d)
+        classes = {}
+        for text, size, summary in rows:
+            assert size == text.count("1")
+            assert summary == torsion_summary(c, text), (profile, text)
             assert summary.within_bound == within_torsion_bound(c, summary)
+            key = tuple(text[block.start : block.stop].count("1") % 2 for block in c.blocks)
+            assert classes.setdefault(key, summary) is summary, (profile, text)
+        assert len(classes) == 2 ** len(profile.loci)
+
+
+@pytest.mark.parametrize("rejected", [None, (1, +1), (2, -1), (3, +1)])
+def test_two_strata_decide_the_torsion_bound_on_every_stratum(monkeypatch, rejected):
+    # selftest checks the stratum even on every locus and the one odd on
+    # every locus; its verdict is that of the whole sweep, with the real
+    # bound and with one rejecting a_P = p**f -+ 1 on the loci of one f
+    if rejected is not None:
+        real, (f_rejected, sign) = strata._divides_bound, rejected
+
+        def rejecting(p, f, order):
+            return not (f == f_rejected and order == p**f + sign) and real(p, f, order)
+
+        monkeypatch.setattr(strata, "_divides_bound", rejecting)
+    verdicts = set()
+    for profile in exhaustive_profiles((2, 3, 5), dmax=6):
+        c = build_carousel(profile)
+        verdict = selftest._torsion_check(c)
+        assert verdict == all(summary.within_bound for _, _, summary in strata.open_sweep(c)), profile
+        verdicts.add(verdict)
+    assert verdicts == ({True} if rejected is None else {True, False})
 
 
 def test_sweeps_refuse_above_the_cap_at_once():
     # 64 totally split loci at p = 2^64 - 59 have 2^64 parity classes and
-    # strata: both sweeps refuse before building any
+    # strata: the sweep refuses before building any
     c = carousel_of(2**64 - 59, [(1, 1)] * 64)
     start = perf_counter()
-    with pytest.raises(InvariantError, match=r"^64 loci > MAX_SWEEP_DEGREE = 12"):
-        parity_classes(c)
     with pytest.raises(InvariantError, match=r"^degree 64 > MAX_SWEEP_DEGREE = 12"):
         strata.open_sweep(c)
     assert perf_counter() - start < 0.5
     # one inert locus of degree 13: two classes, but 2^13 strata
     c = carousel_of(3, [(1, 13)])
-    assert len(parity_classes(c)) == 2
     with pytest.raises(InvariantError, match=r"^degree 13 > MAX_SWEEP_DEGREE = 12"):
         strata.open_sweep(c)
-    # at the cap both sweeps run
+    # at the cap the sweep runs
     c = carousel_of(13, [(1, 1)] * 12)
-    assert len(parity_classes(c)) == len(strata.open_sweep(c)) == 2**12
+    assert len(strata.open_sweep(c)) == 2**12
 
 
 def test_torsion_bound_rejects_orders_off_the_bound():
@@ -322,11 +342,9 @@ def test_torsion_verdict_fails_where_the_bound_is_made_to_fail(monkeypatch, chos
     def odd_on_chosen(text):
         return text[c.blocks[chosen].start : c.blocks[chosen].stop].count("1") % 2 == 1
 
-    classes = parity_classes(c)
-    for key, torsion in enumerate(classes):
-        odd = key >> (len(pairs) - 1 - chosen) & 1
-        assert torsion.within_bound == within_torsion_bound(c, torsion) == (not odd), key
     texts = ["".join(bits) for bits in product("01", repeat=c.d)]
+    for text, _, torsion in strata.open_sweep(c):
+        assert torsion.within_bound == within_torsion_bound(c, torsion) == (not odd_on_chosen(text)), text
     for text in texts:
         assert torsion_summary(c, text).within_bound == (not odd_on_chosen(text)), text
     doc = json.dumps(profile.as_dict())
@@ -441,11 +459,72 @@ def test_fibre_degree_refuses_a_non_integer_power(r):
 
 def test_bridge_identity_small_sweep():
     for c in panel_carousels():
-        valid = [j for block in c.blocks if len(block) > 1 for j in block]
-        if not valid:
-            continue
-        for k in weight_box(c.d, 2):
-            reducible = set(reducible_directions(c, k))
-            for j in valid:
-                for r in (1, 2):
-                    assert (fibre_degree(c, k, j, r) < 0) == (j in reducible)
+        assert oracles.bridge_walk(c), c.profile
+
+
+# Mutants of the bridge, each patched into every module that calls it: the
+# fibre degree with its sign flipped or reading sigma for sigma^{-1}, and
+# reducibility reading sigma for sigma^{-1}.  On an orbit of length two
+# sigma = sigma^{-1}, so those two mutants fail only on longer orbits.
+def _flipped(real):
+    return lambda *args: -real(*args)
+
+
+def _reading_sigma(real):
+    return lambda c, *args: real(replace(c, sigma_inv_table=c.sigma_table), *args)
+
+
+BRIDGE_MUTANTS = {
+    "library": [],
+    "flipped fibre degree": [(strata, "fibre_degree", _flipped), (selftest, "fibre_degree", _flipped)],
+    "fibre degree reads sigma": [(strata, "fibre_degree", _reading_sigma), (selftest, "fibre_degree", _reading_sigma)],
+    "reducibility reads sigma": [(reduction, "_reducible", _reading_sigma)],
+}
+
+
+@pytest.mark.parametrize("mutant", list(BRIDGE_MUTANTS))
+def test_bridge_check_equals_the_box_walk(monkeypatch, mutant):
+    # selftest reads the bridge identity off the d unit weights; the oracle
+    # walks all 5^d weights of the box.  Their verdicts agree on every
+    # profile; each mutant fails some profile, and there only the bridge row
+    for module, name, wrap in BRIDGE_MUTANTS[mutant]:
+        monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    failing = []
+    for profile in exhaustive_profiles((2, 3, 5), dmax=5):
+        c = build_carousel(profile)
+        verdict = selftest._bridge_check(c)
+        assert verdict == oracles.bridge_walk(c), (mutant, profile)
+        if not verdict:
+            failing.append(profile)
+    assert bool(failing) == (mutant != "library")
+    rows, _, _ = selftest.run_selftest(failing)
+    assert [(row["check"], row["profile"]) for row in rows if not row["pass"]] == [
+        ("bridge_identity", profile.as_dict()) for profile in failing
+    ]
+
+
+# The largest degree the input contract allows: inert, ramified and totally
+# split at the largest prime below 2^64, and eight (2, 4) loci at p = 3.
+BIG_P = 2**64 - 59
+DEGREE_64_PANEL = (
+    profile_of(BIG_P, [(1, 64)]),
+    profile_of(BIG_P, [(64, 1)]),
+    profile_of(BIG_P, [(1, 1)] * 64),
+    profile_of(3, [(2, 4)] * 8),
+)
+
+
+def test_selftest_runs_a_degree_64_panel_within_a_second():
+    start = perf_counter()
+    rows, all_passed, vacuous = selftest.run_selftest(DEGREE_64_PANEL)
+    assert perf_counter() - start < 1.0
+    assert all_passed and not vacuous
+    assert len(rows) == len(DEGREE_64_PANEL) * len(selftest.CHECKS)
+    # the negative control fails the determinant check and nothing else.  It
+    # flips the sign of the e_tau term, which moves |det| only on an orbit of
+    # odd length (|1 - (-1)^L p^f| against p^f - 1): here the split entry
+    panel = json.dumps([profile.as_dict() for profile in DEGREE_64_PANEL])
+    report, code = cli.run(["selftest", "--panel", panel, "--debug-bad-hasse"])
+    assert code == 4
+    failed = [(row["check"], row["profile"]) for row in report["payload"]["checks"] if not row["pass"]]
+    assert failed == [("determinant_identity", DEGREE_64_PANEL[2].as_dict())]
