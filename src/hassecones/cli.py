@@ -5,6 +5,11 @@ One report per invocation on stdout; human diagnostics, including the
 and seed.  Exit codes: 0 success, 2 usage/schema error, 3 invariant violation
 (including Dedekind rejection), 4 internal check failure.  A failed command
 exits with the `exit_status` of the HasseConesError it raised.
+
+A profile enters by --profile (the one document shape of `parse_profile`,
+inline or @path) or by --minpoly with --p, and --p goes only with --minpoly.
+A subcommand refuses every flag it does not read (--csv is `picard`'s), and
+the library, not this module, refuses bad positions and strata.
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ def _frac(value: Fraction) -> str:
 
 def _load_profile(args) -> tuple[SplittingProfile, ModPFactorization | None]:
     """The profile, with the mod-p factorization it was read from under --minpoly."""
-    if args.profile and args.minpoly:
+    if args.profile and (args.minpoly or args.p is not None):
         raise UsageError("pass either --profile or --minpoly/--p, not both")
     if args.profile:
         text = args.profile
@@ -234,10 +239,6 @@ def _picard_row(stratum: str, dimension: int, invariant_factors, torsion_orders,
 def _cmd_picard(args, c, fact) -> dict:
     bits = args.stratum
     if bits is not None:
-        if not bits or bits.strip("01"):
-            raise UsageError(f"--stratum: stratum bitstring must be nonempty over 0/1, got {bits!r}")
-        if len(bits) != c.d:
-            raise UsageError(f"--stratum has length {len(bits)}, profile degree is {c.d}")
         strata = [(bits, bits.count("1"), torsion_summary(c, bits))]
     elif c.d > MAX_SWEEP_DEGREE:
         raise UsageError(f"degree {c.d} > {MAX_SWEEP_DEGREE}: pass --stratum to pick one of the 2^d strata")
@@ -258,8 +259,6 @@ def _cmd_bridge(args, c, fact) -> dict:
     if not 0 <= args.r <= MAX_BRIDGE_POWER:
         raise UsageError(f"--r is {args.r}; the power of p must satisfy 0 <= r <= {MAX_BRIDGE_POWER}")
     k = _parse_weight(args.weight)
-    if not (0 <= args.tau < c.d):
-        raise UsageError(f"--tau must be in [0, {c.d})")
     j = args.tau
     degree = fibre_degree(c, k, j, args.r)
     reducible = reducible_directions(c, k)
@@ -312,13 +311,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, profile_flags=True):
-        if profile_flags:
-            sp.add_argument("--profile", help="inline JSON profile or @path to a file")
-            sp.add_argument("--minpoly", help="monic integer polynomial, ascending coefficients")
-            sp.add_argument("--p", type=_ascii_int, help="prime for --minpoly")
+    def common(sp):
+        sp.add_argument("--profile", help="inline JSON profile or @path to a file")
+        sp.add_argument("--minpoly", help="monic integer polynomial, ascending coefficients")
+        sp.add_argument("--p", type=_ascii_int, help="prime for --minpoly")
         sp.add_argument("--seed", type=_ascii_int, default=0, help="seed for randomized factorization steps")
-        sp.add_argument("--csv", action="store_true", help="emit tabular payloads as RFC-4180 CSV")
 
     sp = sub.add_parser("profile", help="echo a profile with its embedding carousel")
     common(sp)
@@ -333,6 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("picard", help="stratum relation quotients and torsion orders")
     common(sp)
     sp.add_argument("--stratum", help="bitstring over the canonical order, e.g. 10")
+    sp.add_argument("--csv", action="store_true", help="emit the strata as RFC-4180 CSV")
 
     sp = sub.add_parser("bridge", help="fibre degree vs reducibility for one direction")
     common(sp)
@@ -341,20 +339,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=_ascii_int, help="power of p for the fibre degree")
 
     sp = sub.add_parser("selftest", help="run the embedded invariant suite")
-    common(sp, profile_flags=False)
+    sp.add_argument("--seed", type=_ascii_int, default=0, help="accepted by every subcommand; selftest draws nothing")
     sp.add_argument("--panel", help="JSON array of profile objects overriding the default panel")
     sp.add_argument(
         "--debug-bad-hasse",
         action="store_true",
-        help="negative control: corrupt the Hasse matrix sign so checks must fail",
+        help="negative control: drop the -e_tau term of the Hasse matrix so the determinant check fails",
     )
 
     return parser
 
 
-def _csv_payload(subcommand: str, payload: dict) -> str | None:
-    if subcommand != "picard":
-        return None
+def _csv_payload(payload: dict) -> str:
+    """The strata of a `picard` payload as RFC-4180 CSV."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\r\n")
     writer.writerow(["stratum", "dimension", "invariant_factors", "torsion_orders", "group_order", "divisibility"])
@@ -378,7 +375,7 @@ def run(argv: list[str]) -> tuple[dict, int]:
 
 
 def _run(argv: list[str]) -> tuple[dict, int, bool]:
-    """run, plus the parsed --csv flag (False when the argv does not parse)."""
+    """run, plus the parsed `picard --csv` flag (False for any other argv)."""
     parser = _build_parser()
     try:
         # stdout carries only the report, so argparse's --help goes to stderr
@@ -386,6 +383,7 @@ def _run(argv: list[str]) -> tuple[dict, int, bool]:
             args = parser.parse_args(argv)
     except SystemExit as exc:
         return {"schema_version": SCHEMA_VERSION, "error": "usage", "exit_status": 2}, int(exc.code or 2), False
+    wants_csv = getattr(args, "csv", False)  # only picard has --csv
 
     command_echo = {"subcommand": args.subcommand, "argv": list(argv)}
     try:
@@ -413,7 +411,7 @@ def _run(argv: list[str]) -> tuple[dict, int, bool]:
             "command": command_echo,
             "error": {"type": type(exc).__name__, "message": str(exc)},
             "exit_status": status,
-        }, status, args.csv
+        }, status, wants_csv
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -421,7 +419,7 @@ def _run(argv: list[str]) -> tuple[dict, int, bool]:
         "payload": payload,
         "exit_status": status,
     }
-    return report, status, args.csv
+    return report, status, wants_csv
 
 
 def _json_text(value, pad: str = "", lists: dict | None = None) -> str:
@@ -519,11 +517,9 @@ def _table_rows(rows: list, keys: list, pad: str, lists: dict):
 
 
 def render(report: dict, args_csv: bool) -> str:
-    subcommand = report.get("command", {}).get("subcommand")
+    """The report as printed: CSV for a `picard --csv` payload, JSON otherwise."""
     if args_csv and "payload" in report:
-        table = _csv_payload(subcommand, report["payload"])
-        if table is not None:
-            return table
+        return _csv_payload(report["payload"])
     return _json_text(report) + "\n"
 
 

@@ -3,8 +3,9 @@
 A profile is the multiset {(e_P, f_P)} of ramification indices and residue
 degrees of the primes P above p, together with p itself.  Everything
 downstream (embedding carousel, Hasse matrix, cones, strata) is a function of
-this data alone, so a profile can be declared directly or derived from a
-minimal polynomial via ``parse_profile``.
+this data alone, so a profile is declared directly, as the one JSON
+document shape ``parse_profile`` reads, or derived from a minimal polynomial
+by ``profile_from_minpoly``.
 """
 
 from __future__ import annotations
@@ -117,40 +118,35 @@ def integer_entries(values, what: str) -> tuple[int, ...]:
 
 
 def profile_from_data(data: object) -> SplittingProfile:
-    """Build a profile from already-parsed JSON data (dict form)."""
+    """Build a profile from an already-parsed JSON object {p, loci}, the one document shape.
+
+    A polynomial is not a document: it enters by profile_from_minpoly (--minpoly with --p).
+    """
     if not isinstance(data, dict):
         raise SchemaError("profile document must be a JSON object")
     keys = set(data)
     if "p" not in keys:
         raise SchemaError("profile document is missing required key 'p'")
     (p,) = integer_entries((data["p"],), "p")
-    if keys == {"p", "loci"}:
-        raw = data["loci"]
-        if not isinstance(raw, list) or not raw:
-            raise SchemaError("'loci' must be a nonempty list")
-        loci = []
-        for entry in raw:
-            if not isinstance(entry, dict) or set(entry) != {"e", "f"}:
-                raise SchemaError(f"each locus must be an object with keys e, f; got {entry!r}")
-            loci.append(PrimeLocus(entry["e"], entry["f"]))
-        return SplittingProfile(p, tuple(loci))
-    if keys == {"p", "minpoly"}:
-        raw = data["minpoly"]
-        if not isinstance(raw, list):
-            raise SchemaError("'minpoly' must be a list of integer coefficients")
-        from .gfpoly import MinPolySpec, profile_from_minpoly
-
-        return profile_from_minpoly(MinPolySpec(raw, p))[0]
-    raise SchemaError("profile document must have keys {p, loci} or {p, minpoly}")
+    if "minpoly" in keys:
+        raise SchemaError("a profile document has no 'minpoly': pass the polynomial as --minpoly with --p")
+    if keys != {"p", "loci"}:
+        raise SchemaError("profile document must have keys {p, loci}")
+    raw = data["loci"]
+    if not isinstance(raw, list) or not raw:
+        raise SchemaError("'loci' must be a nonempty list")
+    loci = []
+    for entry in raw:
+        if not isinstance(entry, dict) or set(entry) != {"e", "f"}:
+            raise SchemaError(f"each locus must be an object with keys e, f; got {entry!r}")
+        loci.append(PrimeLocus(entry["e"], entry["f"]))
+    return SplittingProfile(p, tuple(loci))
 
 
 def parse_profile(document: str) -> SplittingProfile:
-    """Parse a JSON profile document.
+    """Parse a JSON profile document, ``{"p": 2, "loci": [{"e": 2, "f": 1}]}``.
 
-    Two shapes are accepted: ``{"p": 2, "loci": [{"e": 2, "f": 1}]}`` or
-    ``{"p": 5, "minpoly": [-1, -1, 1]}`` with coefficients ascending and the
-    leading coefficient exactly 1.  The second shape runs Dedekind's criterion
-    and raises NotPMaximal when the polynomial does not certify the splitting.
+    This is the one document shape; see profile_from_data.
     """
     try:
         data = json.loads(document)

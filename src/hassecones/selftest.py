@@ -14,9 +14,9 @@ they hold on the d unit weights and on two strata (_bridge_check,
 _torsion_check), so a panel entry of any degree the input contract allows,
 d <= 64, is checked in milliseconds.
 
-The `bad_hasse` hook deliberately builds the Hasse matrix with the wrong sign
-on the e_tau term so the determinant check trips; it exists as a negative
-control proving the suite can fail.
+The `bad_hasse` hook deliberately builds the Hasse matrix without its -e_tau
+term, so the determinant check, and it alone, trips on every profile; it
+exists as a negative control proving the suite can fail.
 """
 
 from __future__ import annotations
@@ -48,9 +48,11 @@ BRIDGE_POWERS = (1, 2)
 def _determinant_check(c, bad_hasse: bool) -> bool:
     rows = [list(row) for row in hasse_matrix(c)]
     if bad_hasse:
-        # Negative control: flip the -e_tau term to +e_tau in every column.
+        # Negative control: drop the -e_tau term of every column, leaving
+        # n_tau e_{sigma^-1 tau}, so |det| = prod n_tau = prod p**f, which is
+        # never the prod (p**f - 1) of the identity.
         for j in range(c.d):
-            rows[j][j] += 2
+            rows[j][j] += 1
     return determinant_identity(c.profile, bareiss_determinant(rows))
 
 

@@ -47,7 +47,7 @@ from math import gcd, prod
 from typing import NamedTuple
 
 from .carousel import Carousel
-from .errors import ForeignEmbedding, InvariantError, MultiplierNotDividing, SingletonOrbit
+from .errors import ForeignEmbedding, InvariantError, MultiplierNotDividing, SchemaError, SingletonOrbit
 from .hasse import Weight, check_weight
 from .profile import integer_entries
 
@@ -121,10 +121,11 @@ def torsion_summary(c: Carousel, bits: str) -> PicardSummary:
     """Invariant factors, per-embedding torsion orders, group order and verdict of the open stratum bits.
 
     Each locus gives the piece for the number of ones of bits in its block
-    (see the module docstring).
+    (see the module docstring).  bits that is not a str of d characters 0/1
+    is malformed input and raises SchemaError.
     """
     if not isinstance(bits, str) or len(bits) != c.d or bits.strip("01"):
-        raise InvariantError(f"stratum {bits!r} is not a bitstring of length {c.d}")
+        raise SchemaError(f"stratum {bits!r} is not a bitstring of length {c.d}")
     p = c.profile.p
     return _combine(
         [_locus_piece(p, locus.f, len(block), bits[block.start : block.stop].count("1"))]

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hassecones import SplittingProfile, cli, cones, errors, gfpoly
+from hassecones import SplittingProfile, cli, cones, errors, gfpoly, selftest
 from hassecones.cli import MAX_BRIDGE_POWER, MAX_WEIGHT_BITS, UsageError, main, render, run
 from hassecones.profile import profile_from_data
 
@@ -280,11 +281,12 @@ def test_picard_csv_output():
     assert len(rows) == 1 + 4
 
 
-def test_csv_flag_leaves_json_commands_untouched():
-    report, code = run(["cones", "--profile", RAMIFIED, "--csv"])
-    assert code == 0
-    text = render(report, args_csv=True)
-    assert json.loads(text)["payload"]["determinant"] == -1
+def test_csv_flag_is_refused_off_picard(capsys):
+    # --csv is a picard flag: any other subcommand refuses it like any unknown flag
+    assert main(["cones", "--profile", RAMIFIED, "--csv"]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"schema_version": "1", "error": "usage", "exit_status": 2}
+    assert "unrecognized arguments: --csv" in captured.err
 
 
 def test_csv_is_rendered_from_the_parsed_flag(capsys):
@@ -294,8 +296,81 @@ def test_csv_is_rendered_from_the_parsed_flag(capsys):
         assert main(["picard", "--profile", INERT, flag]) == 0
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert rows[0][0] == "stratum" and len(rows) == 1 + 4
-    assert main(["cones", "--profile", INERT, "--c"]) == 0
-    assert json.loads(capsys.readouterr().out)["payload"]["determinant"] == -3
+    # off picard no flag has the prefix --c
+    assert main(["cones", "--profile", INERT, "--c"]) == 2
+    assert "unrecognized arguments: --c" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Flag contract: each subcommand accepts the long options it reads, and no other
+
+PROFILE_FLAGS = {"--profile", "--minpoly", "--p", "--seed"}
+ACCEPTED_FLAGS = {
+    "profile": PROFILE_FLAGS,
+    "cones": PROFILE_FLAGS,
+    "reduce": PROFILE_FLAGS | {"--weight"},
+    "picard": PROFILE_FLAGS | {"--stratum", "--csv"},
+    "bridge": PROFILE_FLAGS | {"--weight", "--tau", "--r"},
+    # --seed is accepted by every subcommand, and selftest draws nothing
+    "selftest": {"--seed", "--panel", "--debug-bad-hasse"},
+}
+# a well-formed argv of each subcommand, exit 0
+WELL_FORMED = {
+    "profile": ["profile", "--profile", INERT],
+    "cones": ["cones", "--profile", INERT],
+    "reduce": ["reduce", "--profile", INERT, "--weight=0,1"],
+    "picard": ["picard", "--profile", INERT],
+    "bridge": ["bridge", "--profile", INERT, "--weight=0,1", "--tau", "0", "--r", "1"],
+    "selftest": ["selftest"],
+}
+
+
+# each flag with a value well-formed for the subcommands that read it
+FLAG_ARGS = {
+    "--profile": ["--profile", INERT],
+    "--minpoly": ["--minpoly=-1,-1,1"],
+    "--p": ["--p", "5"],
+    "--seed": ["--seed", "1"],
+    "--weight": ["--weight=0,1"],
+    "--stratum": ["--stratum", "10"],
+    "--csv": ["--csv"],
+    "--tau": ["--tau", "0"],
+    "--r": ["--r", "1"],
+    "--panel": ["--panel", "[]"],
+    "--debug-bad-hasse": ["--debug-bad-hasse"],
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(ACCEPTED_FLAGS))
+def test_each_subcommand_refuses_every_flag_it_does_not_read(subcommand, capsys):
+    assert set(FLAG_ARGS) == set().union(*ACCEPTED_FLAGS.values())
+    assert main([subcommand, "-h"]) == 2
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().err))
+    assert listed == ACCEPTED_FLAGS[subcommand] | {"--help"}
+    assert main(WELL_FORMED[subcommand]) == 0
+    for flag in sorted(set(FLAG_ARGS) - ACCEPTED_FLAGS[subcommand]):
+        capsys.readouterr()
+        assert main(WELL_FORMED[subcommand] + FLAG_ARGS[flag]) == 2, flag
+        err = capsys.readouterr().err
+        # argparse reads a prefix of one of the subcommand's own options as
+        # that option: selftest takes --p 5 for --panel 5, which it refuses
+        if not any(name.startswith(flag) for name in ACCEPTED_FLAGS[subcommand]):
+            assert f"unrecognized arguments: {flag}" in err, flag
+
+
+def test_the_library_refuses_what_the_cli_passes_through():
+    cases = [
+        # --p goes only with --minpoly, and a polynomial is not a profile document
+        (["cones", "--profile", INERT, "--p", "5"], "UsageError"),
+        (["profile", "--profile", '{"p": 5, "minpoly": [-1, -1, 1]}'], "SchemaError"),
+        # positions and strata are checked by the library alone
+        (["bridge", "--profile", INERT, "--weight=0,1", "--tau", "2", "--r", "1"], "ForeignEmbedding"),
+        (["bridge", "--profile", INERT, "--weight=0,1", "--tau", "-1", "--r", "1"], "ForeignEmbedding"),
+        (["picard", "--profile", INERT, "--stratum", "1x"], "SchemaError"),
+    ]
+    for argv, error in cases:
+        report, code = run(argv)
+        assert (code, report["error"]["type"]) == (2, error), argv
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +507,10 @@ def test_selftest_negative_control_exits_4():
     assert code == 4
     payload = report["payload"]
     assert payload["all_passed"] is False
-    failed = [row for row in payload["checks"] if not row["pass"]]
-    assert failed
-    assert all(row["check"] == "determinant_identity" for row in failed)
+    # dropping the -e_tau term gives |det| = prod p**f on every profile, so
+    # every panel entry fails the determinant check and no other
+    failed = [(row["profile"], row["check"]) for row in payload["checks"] if not row["pass"]]
+    assert failed == [(profile.as_dict(), "determinant_identity") for profile in selftest.DEFAULT_PANEL]
 
 
 def test_selftest_empty_panel_is_vacuous(capsys):

@@ -12,8 +12,10 @@ drawn from `random.Random(54321)`, and a malformed `--stratum` refusal, then
 the comma-separated integer lists that are refused (an empty field, a field
 with `_`), then integers refused for digits other than ASCII 0-9 or a `_`,
 then larger `picard`, `profile` and `bridge` reports that check the report
-writer, then `selftest` panels at d = 64, so the earlier entries keep their
-argvs and digests.
+writer, then `selftest` panels at d = 64, then the refusals of the CLI
+boundary (`--csv` off `picard`, `--p` without `--minpoly`, a `minpoly`
+profile document, a `--tau` outside [0, d)), so the earlier entries keep
+their argvs and digests.
 
 argparse wraps its usage and help text to the terminal width, so both the
 test and the generator fix COLUMNS.  When a report changes on purpose,
@@ -162,6 +164,18 @@ SELFTEST_64_ARGVS = [
 ]
 
 
+# each input rule of the CLI is stated once: `--csv` is a `picard` flag, `--p`
+# goes only with `--minpoly`, a polynomial is not a profile document, and the
+# library refuses a position outside [0, d)
+BOUNDARY_ARGVS = [
+    ["cones", "--profile", INERT, "--csv"],
+    ["selftest", "--csv"],
+    ["cones", "--profile", INERT, "--p", "5"],
+    ["profile", "--profile", '{"p": 5, "minpoly": [-1, -1, 1]}'],
+    ["bridge", "--profile", INERT, "--weight=0,1", "--tau", "2", "--r", "1"],
+]
+
+
 def _weight(rng, d, radius):
     return ",".join(str(rng.randint(-radius, radius)) for _ in range(d))
 
@@ -177,7 +191,16 @@ def corpus():
         argvs.append(["reduce", "--profile", doc, "--weight=" + _weight(rng, d, 40)])
         tau, r = rng.randrange(d), rng.randint(1, 3)
         argvs.append(["bridge", "--profile", doc, "--weight=" + _weight(rng, d, 9), "--tau", str(tau), "--r", str(r)])
-    return argvs + EXTRA_ARGVS + _stratum_argvs() + LIST_REFUSAL_ARGVS + ASCII_INTEGER_ARGVS + WRITER_ARGVS + SELFTEST_64_ARGVS
+    return (
+        argvs
+        + EXTRA_ARGVS
+        + _stratum_argvs()
+        + LIST_REFUSAL_ARGVS
+        + ASCII_INTEGER_ARGVS
+        + WRITER_ARGVS
+        + SELFTEST_64_ARGVS
+        + BOUNDARY_ARGVS
+    )
 
 
 def _stratum_argvs():
