@@ -8,8 +8,9 @@ exits with the `exit_status` of the HasseConesError it raised.
 
 A profile enters by --profile (the one document shape of `parse_profile`,
 inline or @path) or by --minpoly with --p, and --p goes only with --minpoly.
-A subcommand refuses every flag it does not read (--csv is `picard`'s), and
-the library, not this module, refuses bad positions and strata.
+A subcommand refuses every flag it does not read (--csv is `picard`'s) and
+every abbreviation of a flag it does read, and the library, not this module,
+refuses bad positions and strata.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from itertools import chain, starmap
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -224,28 +225,27 @@ def _cmd_reduce(args, c, fact) -> dict:
     return payload
 
 
-def _picard_row(stratum: str, dimension: int, invariant_factors, torsion_orders, group_order, within_bound) -> dict:
-    """One row of a `picard` report; the row owns its lists."""
-    return {
-        "stratum": stratum,
-        "dimension": dimension,
-        "invariant_factors": list(invariant_factors),
-        "torsion_orders": list(torsion_orders),
-        "group_order": group_order,
-        "divisibility": "pass" if within_bound else "fail",
-    }
-
-
 def _cmd_picard(args, c, fact) -> dict:
-    bits = args.stratum
+    bits, d = args.stratum, c.d
     if bits is not None:
         strata = [(bits, bits.count("1"), torsion_summary(c, bits))]
-    elif c.d > MAX_SWEEP_DEGREE:
-        raise UsageError(f"degree {c.d} > {MAX_SWEEP_DEGREE}: pass --stratum to pick one of the 2^d strata")
+    elif d > MAX_SWEEP_DEGREE:
+        raise UsageError(f"degree {d} > {MAX_SWEEP_DEGREE}: pass --stratum to pick one of the 2^d strata")
     else:
         # one torsion summary per class of per-locus parities
         strata = open_sweep(c)
-    rows = [_picard_row(text, c.d - size, *torsion) for text, size, torsion in strata]
+    # each row owns its lists
+    rows = [
+        {
+            "stratum": text,
+            "dimension": d - size,
+            "invariant_factors": list(factors),
+            "torsion_orders": list(orders),
+            "group_order": order,
+            "divisibility": "pass" if within_bound else "fail",
+        }
+        for text, size, (factors, orders, order, within_bound) in strata
+    ]
     return {"profile": c.profile.as_dict(), "strata": rows}
 
 
@@ -308,6 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hassecones",
         description="Exact weight combinatorics of mod-p Hilbert modular forms.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -317,28 +318,28 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--p", type=_ascii_int, help="prime for --minpoly")
         sp.add_argument("--seed", type=_ascii_int, default=0, help="seed for randomized factorization steps")
 
-    sp = sub.add_parser("profile", help="echo a profile with its embedding carousel")
+    sp = sub.add_parser("profile", allow_abbrev=False, help="echo a profile with its embedding carousel")
     common(sp)
 
-    sp = sub.add_parser("cones", help="cone representations, chain and split checks")
+    sp = sub.add_parser("cones", allow_abbrev=False, help="cone representations, chain and split checks")
     common(sp)
 
-    sp = sub.add_parser("reduce", help="Hasse coordinates and greedy reduction of a weight")
+    sp = sub.add_parser("reduce", allow_abbrev=False, help="Hasse coordinates and greedy reduction of a weight")
     common(sp)
     sp.add_argument("--weight", help="integer weight vector in canonical embedding order")
 
-    sp = sub.add_parser("picard", help="stratum relation quotients and torsion orders")
+    sp = sub.add_parser("picard", allow_abbrev=False, help="stratum relation quotients and torsion orders")
     common(sp)
     sp.add_argument("--stratum", help="bitstring over the canonical order, e.g. 10")
     sp.add_argument("--csv", action="store_true", help="emit the strata as RFC-4180 CSV")
 
-    sp = sub.add_parser("bridge", help="fibre degree vs reducibility for one direction")
+    sp = sub.add_parser("bridge", allow_abbrev=False, help="fibre degree vs reducibility for one direction")
     common(sp)
     sp.add_argument("--weight", help="integer weight vector in canonical embedding order")
     sp.add_argument("--tau", type=_ascii_int, help="canonical index of the embedding")
     sp.add_argument("--r", type=_ascii_int, help="power of p for the fibre degree")
 
-    sp = sub.add_parser("selftest", help="run the embedded invariant suite")
+    sp = sub.add_parser("selftest", allow_abbrev=False, help="run the embedded invariant suite")
     sp.add_argument("--seed", type=_ascii_int, default=0, help="accepted by every subcommand; selftest draws nothing")
     sp.add_argument("--panel", help="JSON array of profile objects overriding the default panel")
     sp.add_argument(
@@ -422,61 +423,78 @@ def _run(argv: list[str]) -> tuple[dict, int, bool]:
     return report, status, wants_csv
 
 
-def _json_text(value, pad: str = "", lists: dict | None = None) -> str:
-    """value as json.dumps(value, sort_keys=True, indent=2) prints it, nested at indent pad.
+def _json_text(value, end: str = "") -> str:
+    """value as json.dumps(value, sort_keys=True, indent=2) prints it, followed by end.
 
     Reports hold dicts with str keys, lists, tuples, str, int, bool and None.
     Anything else, such as a float, a Fraction or an int key, raises
     TypeError instead of printing text json.dumps might print differently.
 
-    Two shapes are written faster.  A list of two or more dicts with one key
-    set is a table: it is written one column at a time, and each row is one
-    str.format over a template built from the keys.  The text of a list of
-    ints is built once per distinct list and indent: `lists` maps pad to
-    {tuple of the ints: text}, and lives for one top-level call.
+    Every piece of text is appended to one list, joined once at the end.  Two
+    shapes are written faster.  A list of two or more dicts with one key set
+    is a table: each column's cells are written at once, and the rows are the
+    cells interleaved with the key heads.  The text of a list of ints is
+    built once per distinct list and indent: the memo `lists` of `_write`
+    maps pad to {tuple of the ints: text}, and lives for one call.
     """
-    kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is bool:
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if lists is None:
-        lists = {}
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        # encode_basestring_ascii raises TypeError on a key that is not a str
-        items = sep.join(
-            [encode_basestring_ascii(key) + ": " + _json_text(value[key], inner, lists) for key in sorted(value)]
-        )
-        return "{\n" + inner + items + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        kinds = set(map(type, value))
-        if kinds == _INT:
-            return _int_lists_text([value], pad, lists)[0]
-        if kinds <= _ARRAYS and set(map(type, chain.from_iterable(value))) <= _INT:
-            # a matrix: a list of int lists
-            items = sep.join(_int_lists_text(value, inner, lists))
-        elif kinds == _DICT and len(value) > 1 and value[0] and _same_keys(value):
-            items = sep.join(_table_rows(value, sorted(value[0]), inner, lists))
-        else:
-            items = sep.join([_json_text(item, inner, lists) for item in value])
-        return "[\n" + inner + items + "\n" + pad + "]"
-    raise TypeError(f"a report cannot hold {type(value).__name__}")
+    out: list[str] = []
+    _write(value, "", out, {})
+    out.append(end)
+    return "".join(out)
 
 
 _INT = {int}
 _DICT = {dict}
 _STR = {str}
 _ARRAYS = {list, tuple}
+
+
+def _write(value, pad: str, out: list, lists: dict) -> None:
+    """Append the pieces of value's text, nested at indent pad, to out."""
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        head = "{\n" + inner
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        for key in sorted(value):
+            out.append(head + encode_basestring_ascii(key) + ": ")
+            _write(value[key], inner, out, lists)
+            head = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        kinds = set(map(type, value))
+        if kinds == _INT:
+            out += _int_lists_text([value], pad, lists)
+            return
+        inner = pad + "  "
+        head = "[\n" + inner
+        if kinds <= _ARRAYS and set(map(type, chain.from_iterable(value))) <= _INT:
+            # a matrix: a list of int lists
+            out += chain.from_iterable(zip(chain((head,), repeat(",\n" + inner)), _int_lists_text(value, inner, lists)))
+        elif kinds == _DICT and len(value) > 1 and value[0] and _same_keys(value):
+            _write_table(value, head, inner, out, lists)
+        else:
+            for item in value:
+                out.append(head)
+                _write(item, inner, out, lists)
+                head = ",\n" + inner
+        out.append("\n" + pad + "]")
+    else:
+        raise TypeError(f"a report cannot hold {kind.__name__}")
 
 
 def _same_keys(rows: list) -> bool:
@@ -494,9 +512,18 @@ def _int_lists_text(values, pad: str, lists: dict) -> list[str]:
     return list(map(memo.__getitem__, keys))
 
 
-def _table_rows(rows: list, keys: list, pad: str, lists: dict):
-    """The text of each row, dicts over the sorted keys, nested at indent pad."""
+def _write_table(rows: list, head: str, pad: str, out: list, lists: dict) -> None:
+    """Append rows, dicts over one key set nested at indent pad, after the text head.
+
+    Each row is its key heads interleaved with its cells, and the first key
+    head of a row also closes the row before it.
+    """
     inner = pad + "  "
+    keys = sorted(rows[0])
+    # encode_basestring_ascii raises TypeError on a key that is not a str
+    names = [encode_basestring_ascii(key) + ": " for key in keys]
+    heads = [repeat(",\n" + inner + name) for name in names]
+    heads[0] = chain((head + "{\n" + inner + names[0],), repeat("\n" + pad + "},\n" + pad + "{\n" + inner + names[0]))
     columns = []
     for key in keys:
         column = list(map(itemgetter(key), rows))
@@ -508,19 +535,21 @@ def _table_rows(rows: list, keys: list, pad: str, lists: dict):
         elif kinds <= _ARRAYS and set(map(type, chain.from_iterable(column))) <= _INT:
             columns.append(_int_lists_text(column, inner, lists))
         else:
-            columns.append([_json_text(cell, inner, lists) for cell in column])
-    # encode_basestring_ascii raises TypeError on a key that is not a str
-    names = [encode_basestring_ascii(key).replace("{", "{{").replace("}", "}}") for key in keys]
-    fields = (",\n" + inner).join(name + ": {}" for name in names)
-    template = "{{\n" + inner + fields + "\n" + pad + "}}"
-    return starmap(template.format, zip(*columns))
+            cells = []
+            for cell in column:
+                text: list[str] = []
+                _write(cell, inner, text, lists)
+                cells.append("".join(text))
+            columns.append(cells)
+    out += chain.from_iterable(zip(*chain.from_iterable(zip(heads, columns))))
+    out.append("\n" + pad + "}")
 
 
 def render(report: dict, args_csv: bool) -> str:
     """The report as printed: CSV for a `picard --csv` payload, JSON otherwise."""
     if args_csv and "payload" in report:
         return _csv_payload(report["payload"])
-    return _json_text(report) + "\n"
+    return _json_text(report, "\n")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -35,6 +35,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 
 from .carousel import Carousel
@@ -63,9 +64,11 @@ class SimplicialCone:
     every normal is checked to vanish on all rays but one, to be positive on
     that one, and to pick a ray no other normal picks: the pairing matrix is
     then a permutation of a positive diagonal, which proves both describe the
-    same cone.  Each pairing is summed over the nonzero entries of the
-    sparser vector; the C^min normals, the C^Hasse rays and the unit vectors
-    have at most two, so those cones check in O(d^2).
+    same cone.  A normal's d pairings are computed at once from the sparser
+    side: a normal with few nonzero entries combines the ray columns at
+    them, and a denser one is summed over each ray's nonzero entries.  The
+    C^min normals, the C^Hasse rays and the unit vectors have at most two,
+    so those cones check in O(d^2).
     """
 
     dim: int
@@ -73,13 +76,23 @@ class SimplicialCone:
     normals: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if not (len(self.rays) == len(self.normals) == self.dim):
+        d = self.dim
+        if not (len(self.rays) == len(self.normals) == d):
             raise InternalCheckError("a simplicial cone needs d rays and d normals")
-        rays = [(ray, _support(ray)) for ray in self.rays]
+        columns = list(zip(*self.rays))
+        supports = list(map(_support, self.rays))
+        ray_entries = sum(map(len, supports))
         picked = set()
         for normal in self.normals:
             support = _support(normal)
-            pairing = [_pair(normal, support, ray, ray_support) for ray, ray_support in rays]
+            if support and len(support) * d <= ray_entries:
+                # the ray columns at the normal's nonzero entries, combined
+                (i, x), *rest = support
+                pairing = [x * v for v in columns[i]]
+                for i, x in rest:
+                    pairing = list(map(operator.add, pairing, map(operator.mul, repeat(x), columns[i])))
+            else:
+                pairing = [sum(x * normal[i] for i, x in ray_support) for ray_support in supports]
             hits = [i for i, v in enumerate(pairing) if v]
             if min(pairing) < 0 or len(hits) != 1 or hits[0] in picked:
                 raise InternalCheckError(f"normal {normal} is not dual to exactly one ray of its own")
@@ -92,13 +105,6 @@ class SimplicialCone:
 
 def _support(vec) -> list[tuple[int, int]]:
     return [(i, x) for i, x in enumerate(vec) if x]
-
-
-def _pair(a, a_support, b, b_support) -> int:
-    """a . b, summed over the nonzero entries of the sparser of the two."""
-    if len(b_support) < len(a_support):
-        a_support, b = b_support, a
-    return sum(x * b[i] for i, x in a_support)
 
 
 def _orbit_products(c: Carousel):

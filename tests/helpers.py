@@ -47,6 +47,16 @@ def panel_carousels():
     return [carousel_of(p, pairs) for p, pairs in PANEL_SPECS]
 
 
+# The largest degree the input contract allows: inert, ramified and totally
+# split at the largest prime below 2^64, and eight (2, 4) loci at p = 3.
+DEGREE_64_PANEL = (
+    profile_of(2**64 - 59, [(1, 64)]),
+    profile_of(2**64 - 59, [(64, 1)]),
+    profile_of(2**64 - 59, [(1, 1)] * 64),
+    profile_of(3, [(2, 4)] * 8),
+)
+
+
 def locus_multisets(d):
     """Every multiset of (e, f) pairs with sum of e*f equal to d.
 

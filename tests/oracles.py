@@ -17,6 +17,8 @@ run:
   * the single-representation cones HRepCone and VRepCone they act on;
   * membership in a V-representation by an exact phase-I simplex over
     Fraction with Bland's rule, and subset/equality built on it;
+  * the dense pairing matrix of rays and normals, the reference for the
+    pairing check a SimplicialCone makes from the sparser side;
   * the Picard relation rows of a stratum, their Smith normal form with
     unimodular transforms, and torsion orders read off its transform;
   * the bridge identity walked over every weight of a box, the reference
@@ -406,6 +408,23 @@ def cone_subset(inner, outer) -> SubsetCertificate:
 
 def cone_equal(a, b) -> bool:
     return bool(cone_subset(a, b)) and bool(cone_subset(b, a))
+
+
+def pairing_certifies(rays, normals, dim: int) -> bool:
+    """The verdict SimplicialCone gives on rays and normals, from the dense pairing matrix.
+
+    True iff there are dim of each and the matrix of every normal against
+    every ray, each entry summed over all dim coordinates, is a permutation
+    of a positive diagonal: each row has one nonzero entry, it is positive,
+    and no two rows have it in the same column.
+    """
+    if not (len(rays) == len(normals) == dim):
+        return False
+    matrix = [[sum(a * b for a, b in zip(normal, ray)) for ray in rays] for normal in normals]
+    if any(v < 0 for row in matrix for v in row):
+        return False
+    hits = [[j for j, v in enumerate(row) if v] for row in matrix]
+    return all(len(row) == 1 for row in hits) and len({row[0] for row in hits}) == dim
 
 
 # ---------------------------------------------------------------------------

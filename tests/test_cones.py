@@ -36,7 +36,7 @@ from hassecones import (
     std_cone,
 )
 
-from helpers import carousel_of, exhaustive_profiles, hasse_columns, panel_carousels, weight_box
+from helpers import DEGREE_64_PANEL, carousel_of, exhaustive_profiles, hasse_columns, panel_carousels, weight_box
 import oracles
 from oracles import HRepCone, VRepCone
 
@@ -170,15 +170,61 @@ def test_closed_forms_equal_dd_oracle_exhaustive():
 
 
 def test_simplicial_cone_checks_its_pairing():
-    with pytest.raises(InternalCheckError):
-        SimplicialCone.from_rows([(1, 0), (0, 1)], [(1, 1), (0, 1)], dim=2)
-    with pytest.raises(InternalCheckError):
-        SimplicialCone.from_rows([(1, 0), (0, 1)], [(1, 0)], dim=2)
-    # each normal is positive on one ray only, but all three pick the same ray
-    with pytest.raises(InternalCheckError):
-        SimplicialCone.from_rows([(1, 0, 0), (-1, 0, 0), (0, 1, 0)], [(0, 1, 0), (0, 1, 1), (0, 1, -1)], dim=3)
+    refused = [
+        ([(1, 0), (0, 1)], [(1, 1), (0, 1)], 2),
+        ([(1, 0), (0, 1)], [(1, 0)], 2),
+        # each normal is positive on one ray only, but all three pick the same ray
+        ([(1, 0, 0), (-1, 0, 0), (0, 1, 0)], [(0, 1, 0), (0, 1, 1), (0, 1, -1)], 3),
+    ]
+    for rays, normals, dim in refused:
+        with pytest.raises(InternalCheckError):
+            SimplicialCone.from_rows(rays, normals, dim)
+        assert not oracles.pairing_certifies(rays, normals, dim)
     cone = SimplicialCone.from_rows([(1, 1), (1, 2)], [(2, -1), (-1, 1)], dim=2)
     assert cone.normals == ((-1, 1), (2, -1))
+    assert oracles.pairing_certifies(cone.rays, cone.normals, 2)
+
+
+def test_pairing_check_agrees_with_dense_oracle():
+    # each cone the library builds is accepted by the dense pairing matrix,
+    # from d = 2 to the d = 64 panel
+    for profile in [*exhaustive_profiles((2, 3, 5), dmax=6), *DEGREE_64_PANEL]:
+        c = build_carousel(profile)
+        for build in (min_cone, std_cone, hasse_cone):
+            cone = build(c)
+            assert oracles.pairing_certifies(cone.rays, cone.normals, c.d), (build.__name__, profile)
+
+
+def _bumped(rows, index, position):
+    rows = [list(row) for row in rows]
+    rows[index][position] += 1
+    return tuple(map(tuple, rows))
+
+
+def _entries(rows):
+    return sum(1 for row in rows for v in row if v)
+
+
+def test_pairing_check_refuses_a_bumped_sparse_side():
+    # the inert locus of degree 3 at p = 2: the C^min normals have two
+    # entries against dense rays, the C^Hasse rays two against dense normals
+    c = carousel_of(2, [(1, 3)])
+    lower, upper = min_cone(c), hasse_cone(c)
+    sparse_normal = lower.normals[0]
+    position = next(i for i, v in enumerate(sparse_normal) if v)
+    # the normal's pairings combine the ray columns at its nonzero entries ...
+    assert sum(map(bool, sparse_normal)) * c.d <= _entries(lower.rays)
+    normals = _bumped(lower.normals, 0, position)
+    assert not oracles.pairing_certifies(lower.rays, normals, c.d)
+    with pytest.raises(InternalCheckError, match="is not dual to exactly one ray of its own"):
+        SimplicialCone(c.d, lower.rays, normals)
+    # ... and a dense normal's are summed over each ray's nonzero entries
+    assert all(sum(map(bool, normal)) * c.d > _entries(upper.rays) for normal in upper.normals)
+    position = next(i for i, v in enumerate(upper.rays[0]) if v)
+    rays = _bumped(upper.rays, 0, position)
+    assert not oracles.pairing_certifies(rays, upper.normals, c.d)
+    with pytest.raises(InternalCheckError, match="is not dual to exactly one ray of its own"):
+        SimplicialCone(c.d, rays, upper.normals)
 
 
 def test_membership_needs_normals():

@@ -14,8 +14,8 @@ with `_`), then integers refused for digits other than ASCII 0-9 or a `_`,
 then larger `picard`, `profile` and `bridge` reports that check the report
 writer, then `selftest` panels at d = 64, then the refusals of the CLI
 boundary (`--csv` off `picard`, `--p` without `--minpoly`, a `minpoly`
-profile document, a `--tau` outside [0, d)), so the earlier entries keep
-their argvs and digests.
+profile document, a `--tau` outside [0, d)), then two abbreviated flags,
+refused, so the earlier entries keep their argvs and digests.
 
 argparse wraps its usage and help text to the terminal width, so both the
 test and the generator fix COLUMNS.  When a report changes on purpose,
@@ -175,6 +175,13 @@ BOUNDARY_ARGVS = [
     ["bridge", "--profile", INERT, "--weight=0,1", "--tau", "2", "--r", "1"],
 ]
 
+# no flag is abbreviated: a prefix of a flag is refused, and does not bind to
+# the one flag it is a prefix of
+ABBREVIATION_ARGVS = [
+    ["selftest", "--p", "[]"],
+    ["picard", "--profile", INERT, "--c"],
+]
+
 
 def _weight(rng, d, radius):
     return ",".join(str(rng.randint(-radius, radius)) for _ in range(d))
@@ -200,6 +207,7 @@ def corpus():
         + WRITER_ARGVS
         + SELFTEST_64_ARGVS
         + BOUNDARY_ARGVS
+        + ABBREVIATION_ARGVS
     )
 
 

@@ -32,6 +32,7 @@ from hassecones import reduction, selftest, strata
 from hassecones.strata import PicardSummary
 
 from helpers import (
+    DEGREE_64_PANEL,
     carousel_of,
     closure_set,
     exhaustive_profiles,
@@ -503,17 +504,6 @@ def test_bridge_check_equals_the_box_walk(monkeypatch, mutant):
     assert [(row["check"], row["profile"]) for row in rows if not row["pass"]] == [
         ("bridge_identity", profile.as_dict()) for profile in failing
     ]
-
-
-# The largest degree the input contract allows: inert, ramified and totally
-# split at the largest prime below 2^64, and eight (2, 4) loci at p = 3.
-BIG_P = 2**64 - 59
-DEGREE_64_PANEL = (
-    profile_of(BIG_P, [(1, 64)]),
-    profile_of(BIG_P, [(64, 1)]),
-    profile_of(BIG_P, [(1, 1)] * 64),
-    profile_of(3, [(2, 4)] * 8),
-)
 
 
 def test_selftest_runs_a_degree_64_panel_within_a_second():
