@@ -35,7 +35,7 @@ from .errors import HasseConesError, InternalCheckError, SchemaError
 from .gfpoly import MinPolySpec, ModPFactorization, profile_from_minpoly
 from .hasse import (
     Weight,
-    bareiss_determinant,
+    cycle_determinant,
     determinant_identity,
     hasse_coordinates,
     hasse_lattice_index,
@@ -165,7 +165,7 @@ def _cmd_cones(args, c, fact) -> dict:
     cone_std = std_cone(c)
     cone_hasse = hasse_cone(c)
     matrix = hasse_matrix(c)
-    det = bareiss_determinant(matrix)
+    det = cycle_determinant(c, matrix)
     expected = hasse_lattice_index(profile)
     if not determinant_identity(profile, det):
         raise InternalCheckError(f"determinant {det} does not match the locus product {expected}")
@@ -230,7 +230,7 @@ def _cmd_picard(args, c, fact) -> dict:
     if bits is not None:
         strata = [(bits, bits.count("1"), torsion_summary(c, bits))]
     elif d > MAX_SWEEP_DEGREE:
-        raise UsageError(f"degree {d} > {MAX_SWEEP_DEGREE}: pass --stratum to pick one of the 2^d strata")
+        raise UsageError(f"degree {d} > {MAX_SWEEP_DEGREE = }: pass --stratum to pick one of the 2^d strata")
     else:
         # one torsion summary per class of per-locus parities
         strata = open_sweep(c)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .errors import InternalCheckError, InvariantError, NotPMaximal
 from .profile import MAX_DEGREE, MAX_PRIME, PrimeLocus, SplittingProfile, integer_entries, is_prime
@@ -349,11 +350,12 @@ class ModPFactorization:
     p: int
     factors: tuple[tuple[Poly, int], ...]
 
-    def product(self) -> Poly:
+    def product(self, modulus: int | None = None) -> Poly:
+        """prod g**m over the factors as integer polynomials, coefficients reduced mod modulus (default p)."""
         acc = ONE
         for g, m in self.factors:
             for _ in range(m):
-                acc = mul(acc, g, self.p)
+                acc = mul(acc, g, modulus or self.p)
         return acc
 
 
@@ -383,26 +385,19 @@ def factor_mod_p(g: MinPolySpec, seed: int = 0) -> ModPFactorization:
 def dedekind_p_maximal(g: MinPolySpec, fact: ModPFactorization) -> bool:
     """Dedekind's criterion: is Z[x]/(g) maximal at p?  fact is factor_mod_p(g).
 
-    With g mod p = prod gi**ei, set g* = prod lift(gi), h* = lift(g mod p / g*),
-    F = (g* h* - g)/p; the order is p-maximal iff gcd(F mod p, g*, h*) = 1.
+    With g mod p = prod g_i**e_i and F = (prod lift(g_i)**e_i - g)/p, the order
+    is p-maximal iff no g_i with e_i >= 2 divides F mod p (gcd(F mod p, g*, h*)
+    = 1 read one factor at a time), so F needs the product only mod p**2.  This
+    needs the g_i distinct and irreducible, as factor_mod_p returns them; a
+    hand-built fact with a reducible g_i may get a wrong verdict, unchecked.
     """
     p = g.p
-    gstar_bar = ONE
-    hstar_bar = ONE
-    for gi, ei in fact.factors:
-        gstar_bar = mul(gstar_bar, gi, p)
-        for _ in range(ei - 1):
-            hstar_bar = mul(hstar_bar, gi, p)
     # a Poly already stores coefficients in [0, p), so it is its own lift to Z
-    product = _int_poly_mul(gstar_bar, hstar_bar)
-    gc = g.coefficients
-    n = max(len(product), len(gc))
-    diff = [(product[i] if i < len(product) else 0) - (gc[i] if i < len(gc) else 0) for i in range(n)]
+    diff = [a - b for a, b in zip_longest(fact.product(p * p), g.coefficients, fillvalue=0)]
     if any(c % p for c in diff):
-        raise InternalCheckError("g* h* - g is not divisible by p")
+        raise InternalCheckError("prod lift(g_i)**e_i - g is not divisible by p")
     fbar = normalize((c // p for c in diff), p)
-    d1 = gcd(fbar, gstar_bar, p)
-    return degree(gcd(d1, hstar_bar, p)) == 0
+    return all(ei == 1 or mod(fbar, gi, p) for gi, ei in fact.factors)
 
 
 def profile_from_minpoly(g: MinPolySpec, seed: int = 0) -> tuple[SplittingProfile, ModPFactorization]:

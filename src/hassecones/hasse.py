@@ -12,16 +12,17 @@ Row tau of M y = k reads k_tau = n_{sigma tau} y_{sigma tau} - y_tau, which
 is solved exactly once around each orbit, with no matrix inversion.
 
 The matrix is a tuple of integer rows and the coordinates a tuple of
-Fractions.  The determinant identity is checked by determinant_identity
-against a determinant computed independently of the orbit structure, by
-fraction-free elimination (bareiss_determinant).  No floating point anywhere
-in the package.
+Fractions.  Each nonzero entry of M sits at (i, i) or (i, sigma i), and
+cycle_determinant reads det M off the cycles of sigma in the built matrix,
+so determinant_identity checks it independently of the orbit solve.  No
+floating point anywhere in the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .carousel import Carousel
 from .errors import DimensionMismatch, InternalCheckError
@@ -70,32 +71,31 @@ def determinant_identity(profile: SplittingProfile, det: int) -> bool:
     return abs(det) == hasse_lattice_index(profile)
 
 
-def bareiss_determinant(rows) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(row) for row in rows]
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix is not square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Exact division is guaranteed by the Bareiss identity.
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def cycle_determinant(c: Carousel, rows) -> int:
+    """Determinant of a d x d integer matrix whose nonzero entries sit at (i, i) or (i, sigma i).
+
+    On a cycle C of sigma the identity and sigma are the only permutations in
+    that support, so det is the product over the cycles of prod rows[i][i] +
+    (-1)**(|C| - 1) prod rows[i][sigma i], or rows[i][i] on a fixed point i.
+    Another shape or support raises InternalCheckError.
+    """
+    d, sigma = c.d, c.sigma_table
+    if len(rows) != d or any(len(row) != d for row in rows):
+        raise InternalCheckError(f"matrix is not {d} x {d}")
+    for i, row in enumerate(rows):
+        if any(v for j, v in enumerate(row) if j != i and j != sigma[i]):
+            raise InternalCheckError(f"row {i} has an entry off (i, i) and (i, sigma i)")
+    det, unvisited = 1, set(range(d))
+    while unvisited:
+        cycle = [unvisited.pop()]
+        while sigma[cycle[-1]] != cycle[0]:
+            cycle.append(sigma[cycle[-1]])
+        unvisited.difference_update(cycle)
+        block = prod(rows[i][i] for i in cycle)
+        if len(cycle) > 1:
+            block += (-1) ** (len(cycle) - 1) * prod(rows[i][sigma[i]] for i in cycle)
+        det *= block
+    return det
 
 
 def coordinates_scaled(c: Carousel, k: Weight) -> tuple[tuple[int, ...], int]:

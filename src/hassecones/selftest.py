@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from .carousel import build_carousel
 from .cones import cone_chain, hasse_cone, min_cone, split_criterion
-from .hasse import Weight, bareiss_determinant, determinant_identity, hasse_matrix
+from .hasse import Weight, cycle_determinant, determinant_identity, hasse_matrix
 from .profile import PrimeLocus, SplittingProfile
 from .reduction import reducible_directions
 from .strata import bridge_agrees, fibre_degree, torsion_summary, within_torsion_bound
@@ -53,7 +53,7 @@ def _determinant_check(c, bad_hasse: bool) -> bool:
         # never the prod (p**f - 1) of the identity.
         for j in range(c.d):
             rows[j][j] += 1
-    return determinant_identity(c.profile, bareiss_determinant(rows))
+    return determinant_identity(c.profile, cycle_determinant(c, rows))
 
 
 def _bridge_check(c) -> bool:

@@ -9,8 +9,10 @@ run:
   * the carousel tables built from the rule for sigma on (locus, beta, i)
     triples, through a position dict, and each locus orbit walked by sigma:
     the reference for the arithmetic block rule of build_carousel;
-  * exact integer vectors (dot, content, primitive) and the rank over the
-    rationals that double description tests adjacency with;
+  * exact integer vectors (dot, content, primitive), the rank over the
+    rationals that double description tests adjacency with, and the
+    fraction-free (Bareiss) determinant, the reference for the determinant
+    the library reads off the cycles of sigma;
   * double description (Fukuda & Prodon, "Double description method
     revisited", 1996) in both directions, capped at MAX_DD_DIMENSION
     (DimensionCapExceeded);
@@ -25,12 +27,15 @@ run:
     for selftest's check on the unit weights;
   * factorization over GF(p) by one schoolbook `powmod` per degree and per
     split, the reference for the packed residue ring and its Frobenius
-    matrix, with the polynomial sum and evaluation it and the tests use.
+    matrix, with the polynomial sum and evaluation it and the tests use;
+  * Dedekind's criterion by the gcd of F mod p with g* and h*, the reference
+    for the library's one remainder per repeated factor.
 
-Determinants and linear solves have one reference, the Fraction elimination
-of tests/helpers.py.  Names that clash with the library (contains, cone_subset,
-cone_equal, torsion_summary, distinct_degree_factorization,
-equal_degree_factorization) are meant to be used qualified: oracles.contains.
+Determinants and linear solves also have the Fraction elimination of
+tests/helpers.py as a reference.  Names that clash with the library
+(contains, cone_subset, cone_equal, torsion_summary,
+distinct_degree_factorization, equal_degree_factorization,
+dedekind_p_maximal) are meant to be used qualified: oracles.contains.
 """
 
 from __future__ import annotations
@@ -177,6 +182,34 @@ def rank(rows, ncols: int | None = None) -> int:
         if r == len(work):
             break
     return r
+
+
+def bareiss_determinant(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(row) for row in rows]
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix is not square")
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                # Exact division is guaranteed by the Bareiss identity.
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -704,3 +737,32 @@ def equal_degree_factorization(f: gfpoly.Poly, d: int, p: int, rng) -> list[gfpo
             break
     other = gfpoly.divmod_poly(f, g, p)[0]
     return equal_degree_factorization(g, d, p, rng) + equal_degree_factorization(other, d, p, rng)
+
+
+# ---------------------------------------------------------------------------
+# Dedekind's criterion by gcds
+
+
+def dedekind_p_maximal(g: gfpoly.MinPolySpec, fact: gfpoly.ModPFactorization) -> bool:
+    """Dedekind's criterion by three-way gcd; fact is factor_mod_p(g).
+
+    With g mod p = prod gi**ei, set g* = prod lift(gi), h* = lift(g mod p / g*),
+    F = (g* h* - g)/p; the order is p-maximal iff gcd(F mod p, g*, h*) = 1.
+    """
+    p = g.p
+    gstar_bar = gfpoly.ONE
+    hstar_bar = gfpoly.ONE
+    for gi, ei in fact.factors:
+        gstar_bar = gfpoly.mul(gstar_bar, gi, p)
+        for _ in range(ei - 1):
+            hstar_bar = gfpoly.mul(hstar_bar, gi, p)
+    # a Poly already stores coefficients in [0, p), so it is its own lift to Z
+    product = gfpoly._int_poly_mul(gstar_bar, hstar_bar)
+    gc = g.coefficients
+    n = max(len(product), len(gc))
+    diff = [(product[i] if i < len(product) else 0) - (gc[i] if i < len(gc) else 0) for i in range(n)]
+    if any(c % p for c in diff):
+        raise InternalCheckError("g* h* - g is not divisible by p")
+    fbar = gfpoly.normalize((c // p for c in diff), p)
+    d1 = gfpoly.gcd(fbar, gstar_bar, p)
+    return gfpoly.degree(gfpoly.gcd(d1, hstar_bar, p)) == 0

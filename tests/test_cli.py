@@ -661,6 +661,8 @@ PICARD_ROWS = [
 @example([True, False, None, 0, -1, 1])
 @example({"\u00e9": "\U0001f600", "": "", "\"": "\\"})
 @example([10**4000 - 1, -(10**4000 - 1)])
+@example({"steps": ["P0:b0:i1", "P0:b1:i1"] * 3, "one": ("\u2028",), "escapes": ["\"", "\\", "\x00", "\U0001f600", ""]})
+@example([["a", "b"], ("c",), ["d", 1]])
 def test_writer_prints_what_json_dumps_prints(value):
     assert cli._json_text(value) == _dumps(value)
     if isinstance(value, dict) and "command" not in value:

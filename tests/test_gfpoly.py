@@ -11,8 +11,10 @@ import random
 import pytest
 
 from hassecones import (
+    InternalCheckError,
     InvariantError,
     MinPolySpec,
+    ModPFactorization,
     NotPMaximal,
     PrimeLocus,
     dedekind_p_maximal,
@@ -374,6 +376,50 @@ def test_dedekind_worked_examples():
     assert _dedekind(MinPolySpec((-5, 0, 1), 5))
     assert _dedekind(MinPolySpec((-1, -1, 1), 5))
     assert not _dedekind(MinPolySpec((-8, -2, -1, 1), 2))
+
+
+WORKED_DEDEKIND = (
+    (MinPolySpec((-5, 0, 1), 5), True),
+    (MinPolySpec((-1, -1, 1), 5), True),
+    (MinPolySpec((-8, -2, -1, 1), 2), False),
+    # x^4 + 2x^3 + x^2 - 2x = x^2 (x + 1)^2 mod 2 and F mod p = x: the
+    # remainder test needs x and x + 1 apart, not grouped as (x^2 + x)^2
+    (MinPolySpec((0, -2, 1, 2, 1), 2), False),
+)
+
+
+def test_dedekind_agrees_with_the_gcd_oracle():
+    # one remainder per repeated factor against gcd(F mod p, g*, h*)
+    rng = random.Random(19)
+    rejected = 0
+    cases = [spec for spec, _ in WORKED_DEDEKIND]
+    for _ in range(3200):
+        p = rng.choice((2, 3, 5, 7))
+        cases.append(MinPolySpec(tuple(rng.randrange(-p * p, p * p) for _ in range(rng.randint(2, 7))) + (1,), p))
+    for spec in cases:
+        fact = factor_mod_p(spec)
+        verdict = dedekind_p_maximal(spec, fact)
+        assert verdict == oracles.dedekind_p_maximal(spec, fact), spec
+        rejected += not verdict
+    for spec, expected in WORKED_DEDEKIND:
+        assert oracles.dedekind_p_maximal(spec, factor_mod_p(spec)) is expected
+    # the factors the criterion reads are irreducible and distinct
+    assert factor_mod_p(WORKED_DEDEKIND[-1][0]).factors == (((0, 1), 2), ((1, 1), 2))
+    # both verdicts occur often enough to compare
+    assert rejected > 200
+
+
+def test_dedekind_refuses_a_factorization_that_does_not_multiply_back():
+    # x^2 + 1 = (x + 2)(x + 3) mod 5, (x + 1)^2 (x^2 + x + 1) mod 2, and
+    # (x + 1)(x^3 + x^2 + 1) mod 2, where x + 1 alone agrees with g up to
+    # degree 1: only the padded top coefficients tell them apart
+    specs = (MinPolySpec((1, 0, 1), 5), MinPolySpec((1, 1, 2, 1, 1), 2), MinPolySpec((1, 1, 1, 0, 1), 2))
+    for spec in specs:
+        fact = factor_mod_p(spec)
+        assert len(fact.factors) == 2
+        for kept in (fact.factors[:1], fact.factors[1:]):
+            with pytest.raises(InternalCheckError, match="is not divisible by p"):
+                dedekind_p_maximal(spec, ModPFactorization(spec.p, kept))
 
 
 def test_profile_from_minpoly_worked_examples():

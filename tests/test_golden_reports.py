@@ -17,6 +17,12 @@ boundary (`--csv` off `picard`, `--p` without `--minpoly`, a `minpoly`
 profile document, a `--tau` outside [0, d)), then two abbreviated flags,
 refused, so the earlier entries keep their argvs and digests.
 
+A digest shows that a report did not change, not that it is right, so every
+exit-0 JSON report of `cones`, full-sweep `picard` and `reduce` in the corpus
+also goes through the checker of `bench/oracle.py` for its kind, which reads
+the report without importing the library.  The one exception is `cones` on
+the inert d = 64 locus (UNCHECKED_ARGVS), whose check alone takes about 6 s.
+
 argparse wraps its usage and help text to the terminal width, so both the
 test and the generator fix COLUMNS.  When a report changes on purpose,
 regenerate the file from the root of a checkout and commit it with the
@@ -27,11 +33,13 @@ change:
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 from hassecones import cli
@@ -220,13 +228,19 @@ def _stratum_argvs():
     return argvs + [["picard", "--profile", INERT, "--stratum", "1x"]]
 
 
-def digest(argv):
-    """[argv, exit status, sha256 of stdout, sha256 of stderr] of one cli.main call."""
+def render(argv):
+    """(exit status, stdout, stderr) of one cli.main call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         status = cli.main(list(argv))
+    return status, out.getvalue(), err.getvalue()
+
+
+def digest(argv):
+    """[argv, exit status, sha256 of stdout, sha256 of stderr] of one cli.main call."""
+    status, out, err = render(argv)
     sha = lambda text: hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return [argv, status, sha(out.getvalue()), sha(err.getvalue())]
+    return [argv, status, sha(out), sha(err)]
 
 
 def test_reports_match_golden_digests(monkeypatch):
@@ -236,6 +250,66 @@ def test_reports_match_golden_digests(monkeypatch):
     assert [entry[0] for entry in expected] == argvs, "the corpus changed: regenerate the golden file"
     differ = [entry[0] for entry in expected if digest(entry[0]) != entry]
     assert not differ, f"{len(differ)} of {len(argvs)} reports differ, first: {differ[0]}"
+
+
+def _bench_oracle():
+    """bench/oracle.py, loaded under a name of its own; it imports nothing from the library."""
+    spec = importlib.util.spec_from_file_location("bench_oracle", Path(__file__).parents[1] / "bench" / "oracle.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _flag(argv, name):
+    """The value of --name in argv, given as `--name value` or `--name=value`."""
+    for index, arg in enumerate(argv):
+        if arg == name:
+            return argv[index + 1]
+        if arg.startswith(name + "="):
+            return arg[len(name) + 1 :]
+    return None
+
+
+def _argv_weight(argv):
+    text = _flag(argv, "--weight")
+    return json.loads(text if text.startswith("[") else f"[{text}]")
+
+
+# check_cones formats the message of its ray-normal check for each of the
+# 8,192 pairs of this report, failing or not, printing entries of up to 1,214
+# digits: about 6 s, five times the rest of the corpus together, so the report
+# is left to its digest.  Checking one argv per profile would not help, since
+# this one report alone is over budget.  Empty this list once check_cones
+# builds that message only on failure (ROADMAP item 14).
+UNCHECKED_ARGVS = [["cones", "--profile", INERT_64]]
+
+
+def test_reports_pass_the_library_free_checkers(monkeypatch):
+    # `picard --stratum` and `--csv` reports are not the full sweep that
+    # check_picard reads, so they are left to their digests
+    monkeypatch.setenv("COLUMNS", COLUMNS)
+    oracle = _bench_oracle()
+    checks = {
+        "cones": lambda report, s, argv: oracle.check_cones(report, s),
+        "picard": lambda report, s, argv: oracle.check_picard(report, s),
+        "reduce": lambda report, s, argv: oracle.check_reduce(report, s, _argv_weight(argv)),
+    }
+    checked = Counter()
+    for argv in corpus():
+        if not argv or argv[0] not in checks or "--stratum" in argv or "--csv" in argv or argv in UNCHECKED_ARGVS:
+            continue
+        status, out, _ = render(argv)
+        if status != 0:
+            continue
+        report = json.loads(out)
+        # a --profile argv names its shape itself; a --minpoly one only through the report
+        doc = _flag(argv, "--profile")
+        s = oracle.shape_of_doc(json.loads(doc) if doc else report["payload"]["profile"])
+        checks[argv[0]](report, s, argv)
+        checked[argv[0]] += 1
+    assert all(checked[kind] for kind in checks), checked
 
 
 if __name__ == "__main__":

@@ -1,5 +1,11 @@
-"""Hasse weight vectors, the Hasse matrix, its Bareiss determinant, and exact coordinate solves."""
+"""Hasse weight vectors, the Hasse matrix, its determinant over the cycles of sigma, and exact coordinate solves.
 
+The determinant is checked against two oracles that ignore the support:
+Bareiss elimination (tests/oracles.py) and Fraction elimination
+(tests/helpers.py).  Bareiss is tested against Fraction elimination here.
+"""
+
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -8,6 +14,7 @@ import pytest
 
 from hassecones import (
     DimensionMismatch,
+    InternalCheckError,
     SchemaError,
     Weight,
     build_carousel,
@@ -16,9 +23,10 @@ from hassecones import (
     hasse_lattice_index,
     hasse_matrix,
 )
-from hassecones.hasse import bareiss_determinant, check_weight, coordinates_scaled
+from hassecones.hasse import check_weight, coordinates_scaled, cycle_determinant
 
 from helpers import (
+    DEGREE_64_PANEL,
     carousel_of,
     exhaustive_profiles,
     fraction_determinant,
@@ -26,6 +34,7 @@ from helpers import (
     profile_of,
     random_profile,
 )
+from oracles import bareiss_determinant
 
 MERSENNE_61 = 2**61 - 1
 
@@ -40,17 +49,20 @@ def test_hasse_weight_worked_examples():
 
 
 def test_hasse_matrix_worked_examples():
-    ramified = hasse_matrix(carousel_of(2, [(2, 1)]))
+    c = carousel_of(2, [(2, 1)])
+    ramified = hasse_matrix(c)
     assert ramified == ((-1, 1), (2, -1))
-    assert bareiss_determinant(ramified) == -1
+    assert cycle_determinant(c, ramified) == -1
 
-    split = hasse_matrix(carousel_of(3, [(1, 1), (1, 1)]))
+    c = carousel_of(3, [(1, 1), (1, 1)])
+    split = hasse_matrix(c)
     assert split == ((2, 0), (0, 2))
-    assert bareiss_determinant(split) == 4
+    assert cycle_determinant(c, split) == 4
 
-    inert = hasse_matrix(carousel_of(2, [(1, 2)]))
+    c = carousel_of(2, [(1, 2)])
+    inert = hasse_matrix(c)
     assert inert == ((-1, 2), (2, -1))
-    assert abs(bareiss_determinant(inert)) == 3
+    assert cycle_determinant(c, inert) == -3
 
 
 def test_matrix_columns_are_hasse_weights():
@@ -92,10 +104,85 @@ def test_bareiss_handles_zero_pivots():
 def test_determinant_identity_exhaustive_small():
     for profile in exhaustive_profiles((2, 3, 5), dmax=6):
         c = build_carousel(profile)
-        det = bareiss_determinant(hasse_matrix(c))
+        rows = hasse_matrix(c)
+        det = cycle_determinant(c, rows)
+        assert det == bareiss_determinant(rows) == fraction_determinant(rows), profile
         assert abs(det) == hasse_lattice_index(profile), profile
         assert determinant_identity(profile, det) and determinant_identity(profile, -det), profile
         assert not determinant_identity(profile, det + 1), profile
+
+
+def _bad_hasse_rows(c):
+    """The Hasse matrix without its -e_tau term, as selftest's negative control builds it."""
+    rows = [list(row) for row in hasse_matrix(c)]
+    for j in range(c.d):
+        rows[j][j] += 1
+    return rows
+
+
+def _assert_three_determinants_agree(c, rows):
+    det = cycle_determinant(c, rows)
+    assert det == bareiss_determinant(rows) == fraction_determinant(rows), (c.profile, rows)
+    return det
+
+
+def test_cycle_determinant_matches_oracles_at_degree_64():
+    for profile in DEGREE_64_PANEL:
+        c = build_carousel(profile)
+        assert determinant_identity(profile, _assert_three_determinants_agree(c, hasse_matrix(c))), profile
+
+
+def test_cycle_determinant_matches_oracles_on_bad_hasse_rows():
+    # without -e_tau, |det| = prod p**f, never the lattice index
+    for profile in [*exhaustive_profiles((2, 3, 5), dmax=6), *DEGREE_64_PANEL]:
+        c = build_carousel(profile)
+        det = _assert_three_determinants_agree(c, _bad_hasse_rows(c))
+        assert abs(det) == profile.p ** sum(locus.f for locus in profile.loci), profile
+        assert not determinant_identity(profile, det), profile
+
+
+def _in_support_rows(c, rng):
+    rows = [[0] * c.d for _ in range(c.d)]
+    for i in range(c.d):
+        rows[i][i] = rng.randint(-5, 5)
+        rows[i][c.sigma_table[i]] = rng.randint(-5, 5)
+    return rows
+
+
+def test_cycle_determinant_matches_oracles_on_random_in_support_rows():
+    rng = random.Random(48)
+    for _ in range(200):
+        c = build_carousel(random_profile(rng, (2, 3, 5), dmax=8))
+        _assert_three_determinants_agree(c, _in_support_rows(c, rng))
+
+
+def test_cycle_determinant_walks_the_cycles_of_sigma_not_the_blocks():
+    # a sigma whose cycles cut across the blocks, some of them fixed points
+    rng = random.Random(49)
+    for _ in range(200):
+        c = build_carousel(random_profile(rng, (2, 3, 5), dmax=8))
+        sigma = list(range(c.d))
+        rng.shuffle(sigma)
+        c = dataclasses.replace(c, sigma_table=tuple(sigma))
+        _assert_three_determinants_agree(c, _in_support_rows(c, rng))
+
+
+def test_cycle_determinant_refuses_an_entry_off_its_support():
+    rng = random.Random(50)
+    # from d = 3 on, every row has a position off its support
+    for profile in exhaustive_profiles((2, 3), dmax=5, dmin=3):
+        c = build_carousel(profile)
+        rows = [list(row) for row in hasse_matrix(c)]
+        i = rng.randrange(c.d)
+        j = rng.choice([j for j in range(c.d) if j not in (i, c.sigma_table[i])])
+        rows[i][j] = rng.choice([-1, 1])
+        with pytest.raises(InternalCheckError, match=f"^row {i} has an entry off"):
+            cycle_determinant(c, rows)
+    c = carousel_of(2, [(1, 2)])
+    with pytest.raises(InternalCheckError, match="not 2 x 2"):
+        cycle_determinant(c, [[-1, 2]])
+    with pytest.raises(InternalCheckError, match="not 2 x 2"):
+        cycle_determinant(c, [[-1, 2, 0], [2, -1, 0]])
 
 
 def test_coordinates_worked_examples():
