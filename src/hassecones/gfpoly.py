@@ -23,6 +23,7 @@ takes its powers and traces in the same ring.
 
 from __future__ import annotations
 
+import functools
 import operator
 import random
 from dataclasses import dataclass
@@ -400,10 +401,14 @@ def dedekind_p_maximal(g: MinPolySpec, fact: ModPFactorization) -> bool:
     return all(ei == 1 or mod(fbar, gi, p) for gi, ei in fact.factors)
 
 
+@functools.lru_cache(maxsize=1)
 def profile_from_minpoly(g: MinPolySpec, seed: int = 0) -> tuple[SplittingProfile, ModPFactorization]:
     """Splitting profile of p read off a p-maximal minimal polynomial.
 
-    Returned with the one factorization of g mod p it is read from.
+    Returned with the one factorization of g mod p it is read from.  The last
+    (g, seed) answered is remembered, so asking for it again (`profile` then
+    `reduce --minpoly` in one process) factors once.  Both values are frozen,
+    and a refusal is raised, never remembered.
     """
     fact = factor_mod_p(g, seed)
     if not dedekind_p_maximal(g, fact):

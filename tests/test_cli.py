@@ -529,7 +529,8 @@ def test_selftest_custom_panel():
 
 def test_minpoly_commands_factor_once(monkeypatch):
     # every factor_mod_p call, however it is imported, starts with exactly one
-    # squarefree decomposition looked up in the gfpoly namespace
+    # squarefree decomposition looked up in the gfpoly namespace; the memo is
+    # emptied first so that no earlier test decides what is already factored
     calls = []
     original = gfpoly.squarefree_decomposition
 
@@ -538,8 +539,12 @@ def test_minpoly_commands_factor_once(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(gfpoly, "squarefree_decomposition", counting)
+    gfpoly.profile_from_minpoly.cache_clear()
     payload = _payload(["profile", "--minpoly=-1,-1,1", "--p", "5"])
     assert payload["mod_p_factorization"] == [{"coefficients": [2, 1], "multiplicity": 2}]
+    assert len(calls) == 1
+    # the same polynomial asked for again in one process is factored once
+    _payload(["reduce", "--minpoly=-1,-1,1", "--p", "5", "--weight", "4,1"])
     assert len(calls) == 1
     _payload(["reduce", "--minpoly=1,1,1", "--p", "2", "--weight", "4,1"])
     assert len(calls) == 2

@@ -5,6 +5,7 @@ test (x^{p^n} = x mod f, plus gcd conditions at maximal proper subfield
 degrees), so the factorizer never grades its own homework.
 """
 
+import dataclasses
 import itertools
 import random
 
@@ -19,6 +20,7 @@ from hassecones import (
     PrimeLocus,
     dedekind_p_maximal,
     factor_mod_p,
+    gfpoly,
     profile_from_minpoly,
 )
 from hassecones.gfpoly import (
@@ -450,6 +452,67 @@ def test_profile_from_minpoly_degree_accounting():
         assert profile.degree == spec.degree
         assert sum(locus.e * locus.f for locus in profile.loci) == spec.degree
         produced += 1
+
+
+def _counting(monkeypatch, name: str) -> list:
+    """Count the calls of gfpoly.name, looked up by the memoised profile_from_minpoly."""
+    calls = []
+    original = getattr(gfpoly, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gfpoly, name, counting)
+    return calls
+
+
+def test_profile_from_minpoly_remembers_no_refusal(monkeypatch):
+    dedekind = _counting(monkeypatch, "dedekind_p_maximal")
+    factored = _counting(monkeypatch, "factor_mod_p")
+    refused = [spec for spec, maximal in WORKED_DEDEKIND if not maximal]
+    assert refused
+    for spec in refused:
+        gfpoly.profile_from_minpoly.cache_clear()
+        dedekind.clear()
+        factored.clear()
+        for _ in range(2):
+            with pytest.raises(NotPMaximal):
+                profile_from_minpoly(spec)
+        assert len(dedekind) == len(factored) == 2
+
+
+def test_profile_from_minpoly_factors_again_for_another_seed_or_prime(monkeypatch):
+    factored = _counting(monkeypatch, "factor_mod_p")
+    gfpoly.profile_from_minpoly.cache_clear()
+    calls = ((1, 0, 1), 5, 0), ((1, 0, 1), 5, 0), ((1, 0, 1), 5, 1), ((1, 0, 1), 13, 1), ((1, 0, 1), 13, 1)
+    counts = []
+    for coeffs, p, seed in calls:
+        profile_from_minpoly(MinPolySpec(coeffs, p), seed)
+        counts.append(len(factored))
+    assert counts == [1, 1, 2, 3, 3]
+
+
+def test_profile_from_minpoly_hit_equals_a_fresh_result():
+    spec = MinPolySpec((3, 0, 1, 5, 0, 1), 7)
+    gfpoly.profile_from_minpoly.cache_clear()
+    first = profile_from_minpoly(spec, 4)
+    assert profile_from_minpoly(spec, 4) is first
+    gfpoly.profile_from_minpoly.cache_clear()
+    fresh = profile_from_minpoly(spec, 4)
+    assert fresh is not first
+    assert fresh == first
+    assert fresh[1] == factor_mod_p(spec, 4)
+
+
+def test_profile_from_minpoly_result_is_frozen():
+    profile, fact = profile_from_minpoly(MinPolySpec((1, 1, 1), 2))
+    for value, field in ((profile, "p"), (profile, "loci"), (fact, "p"), (fact, "factors")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, getattr(value, field))
+    # what the fields hold is immutable as well
+    assert type(profile.loci) is tuple and type(fact.factors) is tuple
+    assert all(type(g) is tuple for g, _ in fact.factors)
 
 
 def test_minpolyspec_validation():
