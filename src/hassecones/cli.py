@@ -430,13 +430,12 @@ def _json_text(value, end: str = "") -> str:
     Anything else, such as a float, a Fraction or an int key, raises
     TypeError instead of printing text json.dumps might print differently.
 
-    Every piece of text is appended to one list, joined once at the end.  Three
+    Every piece of text is appended to one list, joined once at the end.  Two
     shapes are written faster.  A list of two or more dicts with one key set
     is a table: each column's cells are written at once, and the rows are the
     cells interleaved with the key heads.  The text of a list of ints is
     built once per distinct list and indent: the memo `lists` of `_write`
-    maps pad to {tuple of the ints: text}, and lives for one call.  A list of
-    strs is written in one piece, its items joined with the separators.
+    maps pad to {tuple of the ints: text}, and lives for one call.
     """
     out: list[str] = []
     _write(value, "", out, {})
@@ -482,10 +481,6 @@ def _write(value, pad: str, out: list, lists: dict) -> None:
             out += _int_lists_text([value], pad, lists)
             return
         inner = pad + "  "
-        if kinds == _STR:
-            sep = ",\n" + inner
-            out.append("[\n" + inner + sep.join(map(encode_basestring_ascii, value)) + "\n" + pad + "]")
-            return
         head = "[\n" + inner
         if kinds <= _ARRAYS and set(map(type, chain.from_iterable(value))) <= _INT:
             # a matrix: a list of int lists

@@ -407,8 +407,10 @@ def profile_from_minpoly(g: MinPolySpec, seed: int = 0) -> tuple[SplittingProfil
 
     Returned with the one factorization of g mod p it is read from.  The last
     (g, seed) answered is remembered, so asking for it again (`profile` then
-    `reduce --minpoly` in one process) factors once.  Both values are frozen,
-    and a refusal is raised, never remembered.
+    `reduce --minpoly` in one process) factors once.  The memo matches the call
+    as written: `f(g)`, `f(g, 0)` and `f(g, seed=0)` are three different calls
+    to it, so a caller should pass the seed the same way each time.  Both
+    values are frozen, and a refusal is raised, never remembered.
     """
     fact = factor_mod_p(g, seed)
     if not dedekind_p_maximal(g, fact):
