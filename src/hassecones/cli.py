@@ -24,7 +24,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -430,11 +430,11 @@ def _json_text(value, end: str = "") -> str:
     Anything else, such as a float, a Fraction or an int key, raises
     TypeError instead of printing text json.dumps might print differently.
 
-    Every piece of text is appended to one list, joined once at the end.  Two
-    shapes are written faster.  A list of two or more dicts with one key set
-    is a table: each column's cells are written at once, and the rows are the
-    cells interleaved with the key heads.  The text of a list of ints is
-    built once per distinct list and indent: the memo `lists` of `_write`
+    Every piece of text is appended to one list, joined once at the end.
+    `_cells` gives the text of each item of a list and of each cell of a
+    table column; a table is a list of two or more dicts over one key set,
+    and its rows are its cells interleaved with the key heads.  The text of a
+    list of ints is built once per distinct list and indent: the memo `lists`
     maps pad to {tuple of the ints: text}, and lives for one call.
     """
     out: list[str] = []
@@ -476,22 +476,17 @@ def _write(value, pad: str, out: list, lists: dict) -> None:
         if not value:
             out.append("[]")
             return
-        kinds = set(map(type, value))
-        if kinds == _INT:
-            out += _int_lists_text([value], pad, lists)
-            return
         inner = pad + "  "
         head = "[\n" + inner
-        if kinds <= _ARRAYS and set(map(type, chain.from_iterable(value))) <= _INT:
-            # a matrix: a list of int lists
-            out += chain.from_iterable(zip(chain((head,), repeat(",\n" + inner)), _int_lists_text(value, inner, lists)))
-        elif kinds == _DICT and len(value) > 1 and value[0] and _same_keys(value):
+        if len(value) > 1 and set(map(type, value)) == _DICT and value[0] and _same_keys(value):
             _write_table(value, head, inner, out, lists)
         else:
-            for item in value:
-                out.append(head)
-                _write(item, inner, out, lists)
-                head = ",\n" + inner
+            cells = _cells(value, inner, lists)
+            # the head, then each cell after its separator
+            pieces = [",\n" + inner] * (2 * len(cells))
+            pieces[0] = head
+            pieces[1::2] = cells
+            out += pieces
         out.append("\n" + pad + "]")
     else:
         raise TypeError(f"a report cannot hold {kind.__name__}")
@@ -502,14 +497,27 @@ def _same_keys(rows: list) -> bool:
     return all(map(keys.__eq__, map(dict.keys, rows)))
 
 
-def _int_lists_text(values, pad: str, lists: dict) -> list[str]:
-    """The text of each list of ints in values at indent pad, each distinct one built once."""
-    memo = lists.setdefault(pad, {})
-    keys = list(map(tuple, values))
-    sep = ",\n" + pad + "  "
-    for key in set(keys).difference(memo):
-        memo[key] = "[\n" + pad + "  " + sep.join(map(int.__repr__, key)) + "\n" + pad + "]" if key else "[]"
-    return list(map(memo.__getitem__, keys))
+def _cells(values, pad: str, lists: dict) -> list[str]:
+    """The text of each item of values, nested at indent pad."""
+    kinds = set(map(type, values))
+    if kinds == _INT:
+        return list(map(int.__repr__, values))
+    if kinds == _STR:
+        return list(map(encode_basestring_ascii, values))
+    if kinds <= _ARRAYS and set(map(type, chain.from_iterable(values))) <= _INT:
+        # lists of ints: each distinct one at this indent is built once
+        memo = lists.setdefault(pad, {})
+        keys = list(map(tuple, values))
+        sep = ",\n" + pad + "  "
+        for key in set(keys).difference(memo):
+            memo[key] = "[\n" + pad + "  " + sep.join(map(int.__repr__, key)) + "\n" + pad + "]" if key else "[]"
+        return list(map(memo.__getitem__, keys))
+    cells = []
+    for value in values:
+        text: list[str] = []
+        _write(value, pad, text, lists)
+        cells.append("".join(text))
+    return cells
 
 
 def _write_table(rows: list, head: str, pad: str, out: list, lists: dict) -> None:
@@ -521,27 +529,15 @@ def _write_table(rows: list, head: str, pad: str, out: list, lists: dict) -> Non
     inner = pad + "  "
     keys = sorted(rows[0])
     # encode_basestring_ascii raises TypeError on a key that is not a str
-    names = [encode_basestring_ascii(key) + ": " for key in keys]
-    heads = [repeat(",\n" + inner + name) for name in names]
-    heads[0] = chain((head + "{\n" + inner + names[0],), repeat("\n" + pad + "},\n" + pad + "{\n" + inner + names[0]))
-    columns = []
-    for key in keys:
-        column = list(map(itemgetter(key), rows))
-        kinds = set(map(type, column))
-        if kinds == _INT:
-            columns.append(map(int.__repr__, column))
-        elif kinds == _STR:
-            columns.append(map(encode_basestring_ascii, column))
-        elif kinds <= _ARRAYS and set(map(type, chain.from_iterable(column))) <= _INT:
-            columns.append(_int_lists_text(column, inner, lists))
-        else:
-            cells = []
-            for cell in column:
-                text: list[str] = []
-                _write(cell, inner, text, lists)
-                cells.append("".join(text))
-            columns.append(cells)
-    out += chain.from_iterable(zip(*chain.from_iterable(zip(heads, columns))))
+    names = [inner + encode_basestring_ascii(key) + ": " for key in keys]
+    seps = ["\n" + pad + "},\n" + pad + "{\n"] + [",\n"] * (len(keys) - 1)
+    width = 2 * len(keys)
+    pieces = [""] * (width * len(rows))
+    for j, key in enumerate(keys):
+        pieces[2 * j :: width] = [seps[j] + names[j]] * len(rows)
+        pieces[2 * j + 1 :: width] = _cells(list(map(itemgetter(key), rows)), inner, lists)
+    pieces[0] = head + "{\n" + names[0]
+    out += pieces
     out.append("\n" + pad + "}")
 
 

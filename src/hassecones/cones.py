@@ -61,14 +61,13 @@ class SimplicialCone:
     """A full-dimensional simplicial cone in both representations.
 
     Generated by `rays` and cut out by `normals`, d of each.  On construction
-    every normal is checked to vanish on all rays but one, to be positive on
-    that one, and to pick a ray no other normal picks: the pairing matrix is
-    then a permutation of a positive diagonal, which proves both describe the
-    same cone.  A normal's d pairings are computed at once from the sparser
-    side: a normal with few nonzero entries combines the ray columns at
-    them, and a denser one is summed over each ray's nonzero entries.  The
-    C^min normals, the C^Hasse rays and the unit vectors have at most two,
-    so those cones check in O(d^2).
+    the pairing matrix is checked to be a permutation of a positive diagonal,
+    which proves both describe the same cone.  It is read from the side with
+    more zero entries, since its transpose is such a matrix too: each vector
+    there combines the other side's columns at its nonzero entries, and must
+    be positive on one vector of the other side that no other picks and zero
+    on the rest.  The C^min normals, the C^Hasse rays and the unit vectors
+    have at most two nonzero entries, so those cones check in O(d^2).
     """
 
     dim: int
@@ -79,32 +78,24 @@ class SimplicialCone:
         d = self.dim
         if not (len(self.rays) == len(self.normals) == d):
             raise InternalCheckError("a simplicial cone needs d rays and d normals")
-        columns = list(zip(*self.rays))
-        supports = list(map(_support, self.rays))
-        ray_entries = sum(map(len, supports))
+        if sum(ray.count(0) for ray in self.rays) > sum(normal.count(0) for normal in self.normals):
+            name, vectors, other, columns = "ray", self.rays, "normal", list(zip(*self.normals))
+        else:
+            name, vectors, other, columns = "normal", self.normals, "ray", list(zip(*self.rays))
         picked = set()
-        for normal in self.normals:
-            support = _support(normal)
-            if support and len(support) * d <= ray_entries:
-                # the ray columns at the normal's nonzero entries, combined
-                (i, x), *rest = support
-                pairing = [x * v for v in columns[i]]
-                for i, x in rest:
+        for vector in vectors:
+            pairing = [0] * d
+            for i, x in enumerate(vector):
+                if x:
                     pairing = list(map(operator.add, pairing, map(operator.mul, repeat(x), columns[i])))
-            else:
-                pairing = [sum(x * normal[i] for i, x in ray_support) for ray_support in supports]
             hits = [i for i, v in enumerate(pairing) if v]
             if min(pairing) < 0 or len(hits) != 1 or hits[0] in picked:
-                raise InternalCheckError(f"normal {normal} is not dual to exactly one ray of its own")
+                raise InternalCheckError(f"{name} {vector} is not dual to exactly one {other} of its own")
             picked.add(hits[0])
 
     @classmethod
     def from_rows(cls, rays, normals, dim: int) -> "SimplicialCone":
         return cls(dim, _canonical_rows(rays, dim), _canonical_rows(normals, dim))
-
-
-def _support(vec) -> list[tuple[int, int]]:
-    return [(i, x) for i, x in enumerate(vec) if x]
 
 
 def _orbit_products(c: Carousel):

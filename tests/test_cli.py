@@ -399,6 +399,49 @@ def test_usage_errors_exit_2():
         assert report["exit_status"] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["profile", "--minpoly=-1,-1,1"], "--minpoly requires --p"),
+        (["bridge", "--profile", INERT, "--weight=0,1", "--r", "1"], "bridge requires --tau (canonical embedding index)"),
+        (["selftest", "--panel", "{}"], "--panel must be a JSON array of profile objects"),
+    ],
+)
+def test_usage_refusals_name_what_is_missing(argv, message, capsys):
+    report, code = run(argv)
+    assert code == report["exit_status"] == 2
+    assert report["error"] == {"type": "UsageError", "message": message}
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# each guard of `cones` and `bridge` with the computation under it planted
+# wrong: the command must stop with exit 4 and name the failed check
+PLANTED_FAULTS = [
+    (["cones", "--profile", INERT], "cycle_determinant", lambda c, rows: 7, "determinant 7 does not match the locus product 3"),
+    (["cones", "--profile", INERT], "split_criterion", lambda *cones: False, "split criterion and cone equality disagree"),
+    (["cones", "--profile", INERT], "cone_chain", lambda *cones: (True, False), "cone chain containment failed"),
+    (
+        ["bridge", "--profile", INERT, "--weight=0,1", "--tau", "0", "--r", "1"],
+        "bridge_agrees",
+        lambda *args: False,
+        "fibre-degree sign disagrees with reducibility",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, name, planted, message", PLANTED_FAULTS, ids=[fault[1] for fault in PLANTED_FAULTS])
+def test_each_command_guard_stops_a_planted_fault(argv, name, planted, message, monkeypatch, capsys):
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, name, planted)
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.err == f"internal check failure: {message}\n"
+    report = json.loads(captured.out)
+    assert report["exit_status"] == 4
+    assert report["error"] == {"type": "InternalCheckError", "message": message}
+
+
 def test_bridge_power_cap_names_cap_and_value():
     assert MAX_BRIDGE_POWER == 64
     argv = ["bridge", "--profile", INERT, "--weight", "[0,1]", "--tau", "0", "--r"]

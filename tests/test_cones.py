@@ -57,6 +57,20 @@ def test_min_cone_membership_worked_example():
     assert slack == Fraction(-1)
 
 
+def test_membership_reads_fraction_entries_exactly():
+    cone = std_cone(carousel_of(2, [(2, 1)]))
+    assert cone.normals == ((0, 1), (1, 0))
+    verdict = contains(cone, (Fraction(1, 3), 1))
+    assert verdict.member
+    assert verdict.witness == (Fraction(1), Fraction(1, 3))
+    # a negative Fraction entry is refused by the normal it violates, with
+    # its exact slack
+    verdict = contains(cone, (Fraction(1, 3), Fraction(-1, 3)))
+    assert not verdict.member
+    assert verdict.kind == "hrep-violation"
+    assert verdict.witness == (0, Fraction(-1, 3))
+
+
 def test_std_cone_is_the_orthant():
     c = carousel_of(2, [(2, 2)])
     cone = std_cone(c)
@@ -210,21 +224,41 @@ def test_pairing_check_refuses_a_bumped_sparse_side():
     # entries against dense rays, the C^Hasse rays two against dense normals
     c = carousel_of(2, [(1, 3)])
     lower, upper = min_cone(c), hasse_cone(c)
-    sparse_normal = lower.normals[0]
-    position = next(i for i, v in enumerate(sparse_normal) if v)
-    # the normal's pairings combine the ray columns at its nonzero entries ...
-    assert sum(map(bool, sparse_normal)) * c.d <= _entries(lower.rays)
+    # on C^min the normals are the sparser side, so each normal is paired
+    # with every ray and a bumped normal is the one named ...
+    assert _entries(lower.normals) < _entries(lower.rays)
+    position = next(i for i, v in enumerate(lower.normals[0]) if v)
     normals = _bumped(lower.normals, 0, position)
+    assert _entries(normals) < _entries(lower.rays)
     assert not oracles.pairing_certifies(lower.rays, normals, c.d)
-    with pytest.raises(InternalCheckError, match="is not dual to exactly one ray of its own"):
+    with pytest.raises(InternalCheckError, match=r"^normal \(.*\) is not dual to exactly one ray of its own$"):
         SimplicialCone(c.d, lower.rays, normals)
-    # ... and a dense normal's are summed over each ray's nonzero entries
-    assert all(sum(map(bool, normal)) * c.d > _entries(upper.rays) for normal in upper.normals)
+    # ... and on C^Hasse the rays are, so each ray is paired with every
+    # normal and a bumped ray is the one named
+    assert _entries(upper.rays) < _entries(upper.normals)
     position = next(i for i, v in enumerate(upper.rays[0]) if v)
     rays = _bumped(upper.rays, 0, position)
+    assert _entries(rays) < _entries(upper.normals)
     assert not oracles.pairing_certifies(rays, upper.normals, c.d)
-    with pytest.raises(InternalCheckError, match="is not dual to exactly one ray of its own"):
+    with pytest.raises(InternalCheckError, match=r"^ray \(.*\) is not dual to exactly one normal of its own$"):
         SimplicialCone(c.d, rays, upper.normals)
+
+
+@pytest.mark.parametrize("build, side", [(min_cone, "normals"), (hasse_cone, "rays")])
+def test_pairing_check_refuses_each_fault_on_the_sparser_side(build, side):
+    # on the inert locus of degree 3 at p = 2 the C^min normals and the
+    # C^Hasse rays are the sparser side; a negated vector has one pairing,
+    # negative, and a repeated one picks what its copy picks
+    c = carousel_of(2, [(1, 3)])
+    cone = build(c)
+    vectors = getattr(cone, side)
+    negated = (tuple(-v for v in vectors[0]),) + vectors[1:]
+    repeated = (vectors[0], vectors[0]) + vectors[2:]
+    for changed in (negated, repeated):
+        rays, normals = (cone.rays, changed) if side == "normals" else (changed, cone.normals)
+        assert not oracles.pairing_certifies(rays, normals, c.d)
+        with pytest.raises(InternalCheckError, match=f"^{side[:-1]} \\(.*\\) is not dual"):
+            SimplicialCone(c.d, rays, normals)
 
 
 def test_membership_needs_normals():

@@ -300,6 +300,18 @@ def test_factor_reconstruction_random():
             assert rabin_irreducible(poly, p)
 
 
+def test_factorization_refuses_a_product_that_does_not_multiply_back(monkeypatch):
+    # x^2 - 1 = (x + 1)(x + 4) mod 5: the equal-degree stage splits both
+    # linear factors out of one part, and with the first dropped the product
+    # check must stop the result
+    spec = MinPolySpec((-1, 0, 1), 5)
+    assert factor_mod_p(spec).factors == (((1, 1), 1), ((4, 1), 1))
+    equal_degree = gfpoly.equal_degree_factorization
+    monkeypatch.setattr(gfpoly, "equal_degree_factorization", lambda *args: equal_degree(*args)[1:])
+    with pytest.raises(InternalCheckError, match="^factorization product check failed$"):
+        factor_mod_p(spec)
+
+
 def test_factor_output_is_seed_independent():
     spec = MinPolySpec((3, 1, 4, 1, 5, 9, 2, 1), 13)
     baseline = factor_mod_p(spec, seed=0)

@@ -285,6 +285,16 @@ def test_scaled_coordinates_have_positive_denominator():
     assert (Fraction(nums[0], den), Fraction(nums[1], den)) == (Fraction(2, 3), Fraction(1, 3))
 
 
+def test_orbit_solve_refuses_a_carousel_with_wrong_multipliers():
+    # the walk back around the orbit imposes every row of M y = k but one;
+    # with n_tau not multiplying to p**f around the orbit, that row fails
+    c = carousel_of(2, [(1, 3)])
+    assert coordinates_scaled(c, Weight((1, 0, 0)))[1] == 7
+    wrong = dataclasses.replace(c, n_table=(3,) + c.n_table[1:])
+    with pytest.raises(InternalCheckError, match="^orbit solve fails row 0 of M y = k$"):
+        coordinates_scaled(wrong, Weight((1, 0, 0)))
+
+
 def test_weight_algebra():
     a = Weight((1, 2))
     assert len(a) == 2

@@ -60,6 +60,11 @@ def test_rejects_degree_below_two():
         profile_of(2, [(1, 1)])
 
 
+def test_rejects_a_profile_without_loci():
+    with pytest.raises(InvariantError, match="^profile needs at least one locus$"):
+        SplittingProfile(2, ())
+
+
 def test_rejects_degree_above_cap():
     with pytest.raises(InvariantError):
         profile_of(2, [(1, MAX_DEGREE + 1)])
