@@ -65,7 +65,6 @@ from .strata import (
     bridge_agrees,
     fibre_degree,
     torsion_summary,
-    within_torsion_bound,
 )
 
 __version__ = "0.1.0"

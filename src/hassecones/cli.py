@@ -1,10 +1,11 @@
 """Command-line front end: structured JSON reports over the library.
 
 One report per invocation on stdout; human diagnostics, including the
-`--help` text, on stderr.  Reports are byte-deterministic for a fixed argv
-and seed.  Exit codes: 0 success, 2 usage/schema error, 3 invariant violation
-(including Dedekind rejection), 4 internal check failure.  A failed command
-exits with the `exit_status` of the HasseConesError it raised.
+`--help` text, on stderr.  Reports are byte-deterministic for a fixed argv;
+--seed is accepted and changes none of them.  Exit codes: 0 success, 2
+usage/schema error, 3 invariant violation (including Dedekind rejection), 4
+internal check failure.  A failed command exits with the `exit_status` of the
+HasseConesError it raised.
 
 A profile enters by --profile (the one document shape of `parse_profile`,
 inline or @path) or by --minpoly with --p, and --p goes only with --minpoly.
@@ -85,7 +86,7 @@ def _load_profile(args) -> tuple[SplittingProfile, ModPFactorization | None]:
         if args.p is None:
             raise UsageError("--minpoly requires --p")
         coeffs = _parse_int_list(args.minpoly, "--minpoly")
-        return profile_from_minpoly(MinPolySpec(tuple(coeffs), args.p), seed=args.seed)
+        return profile_from_minpoly(MinPolySpec(tuple(coeffs), args.p))
     raise UsageError("a profile is required: --profile or --minpoly with --p")
 
 
@@ -316,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--profile", help="inline JSON profile or @path to a file")
         sp.add_argument("--minpoly", help="monic integer polynomial, ascending coefficients")
         sp.add_argument("--p", type=_ascii_int, help="prime for --minpoly")
-        sp.add_argument("--seed", type=_ascii_int, default=0, help="seed for randomized factorization steps")
+        sp.add_argument("--seed", type=_ascii_int, default=0, help="accepted by every subcommand; no report depends on it")
 
     sp = sub.add_parser("profile", allow_abbrev=False, help="echo a profile with its embedding carousel")
     common(sp)

@@ -41,6 +41,7 @@ from math import gcd
 from .carousel import Carousel
 from .errors import DimensionMismatch, InternalCheckError, InvariantError
 from .hasse import Weight, coordinates_scaled
+from .profile import integer_entries
 
 
 def _canonical_rows(rows, dim: int):
@@ -158,14 +159,15 @@ class MembershipCertificate:
 
 
 def _exact(v):
-    try:
-        return operator.index(v)
-    except TypeError:
-        return Fraction(v)
+    """A Fraction entry as it is, any other by profile.integer_entries (SchemaError for a float, str or bool)."""
+    if isinstance(v, Fraction):
+        return v
+    (n,) = integer_entries((v,), "a vector entry that is not a Fraction")
+    return n
 
 
 def contains(cone: SimplicialCone, x) -> MembershipCertificate:
-    """Exact membership of a rational vector in a simplicial cone."""
+    """Exact membership of a rational vector, entries int or Fraction, in a simplicial cone."""
     if not isinstance(cone, SimplicialCone):
         raise TypeError(f"membership needs a SimplicialCone, got {cone!r}")
     vec = tuple(_exact(v) for v in x)

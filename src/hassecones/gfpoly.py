@@ -4,9 +4,10 @@ Polynomials are tuples of ints in [0, p), ascending degree, with no trailing
 zeros; the zero polynomial is the empty tuple.  On top of the arithmetic sit
 squarefree decomposition (characteristic p, with the p-th root step), the
 residue ring GF(p)[x]/(f), distinct-degree factorization, Cantor-Zassenhaus
-equal-degree splitting with a seeded generator, Dedekind's p-maximality
-criterion, and the derivation of a splitting profile from a minimal
-polynomial.
+equal-degree splitting drawing from a fixed generator, Dedekind's
+p-maximality criterion, and the derivation of a splitting profile from a
+minimal polynomial.  A factorization, and every profile read off it, is a
+function of the polynomial alone.
 
 `Residues` holds each element of GF(p)[x]/(f) as one Python int, its
 coefficients in Montgomery form packed into byte-aligned slots (Kronecker
@@ -360,17 +361,18 @@ class ModPFactorization:
         return acc
 
 
-def factor_mod_p(g: MinPolySpec, seed: int = 0) -> ModPFactorization:
+def factor_mod_p(g: MinPolySpec) -> ModPFactorization:
     """Full factorization of g mod p into monic irreducibles with multiplicities.
 
-    The equal-degree stage draws from random.Random(seed); the returned order
-    (by degree, then lexicographic coefficients) is canonical regardless.
+    The equal-degree stage draws from a fresh random.Random(0) on every call;
+    the returned order (by degree, then lexicographic coefficients) is
+    canonical, and would be for any stream.  g mod p is never a constant:
+    MinPolySpec makes g monic of degree at least 2, and a leading 1 survives
+    reduction mod p, so g mod p has the degree of g.
     """
     p = g.p
     fbar = g.reduced()
-    if degree(fbar) < 1:
-        raise InvariantError("polynomial reduces to a constant mod p")
-    rng = random.Random(seed)
+    rng = random.Random(0)
     collected: dict[Poly, int] = {}
     for piece, mult in squarefree_decomposition(fbar, p):
         for part, d in distinct_degree_factorization(piece, p):
@@ -402,24 +404,22 @@ def dedekind_p_maximal(g: MinPolySpec, fact: ModPFactorization) -> bool:
 
 
 @functools.lru_cache(maxsize=1)
-def profile_from_minpoly(g: MinPolySpec, seed: int = 0) -> tuple[SplittingProfile, ModPFactorization]:
+def profile_from_minpoly(g: MinPolySpec, /) -> tuple[SplittingProfile, ModPFactorization]:
     """Splitting profile of p read off a p-maximal minimal polynomial.
 
     Returned with the one factorization of g mod p it is read from.  The last
-    (g, seed) answered is remembered, so asking for it again (`profile` then
-    `reduce --minpoly` in one process) factors once.  The memo matches the call
-    as written: `f(g)`, `f(g, 0)` and `f(g, seed=0)` are three different calls
-    to it, so a caller should pass the seed the same way each time.  Both
-    values are frozen, and a refusal is raised, never remembered.
+    g answered is remembered, so asking for it again (`profile` then `reduce
+    --minpoly` in one process) factors once; g is positional-only, so every
+    call keys the memo by g alone.  Both values are frozen, and a refusal is
+    raised, never remembered.  The profile has the degree of g:
+    factor_mod_p has checked that prod g_i**e_i = g mod p, so the sum of
+    e_i deg g_i over the loci is deg g.
     """
-    fact = factor_mod_p(g, seed)
+    fact = factor_mod_p(g)
     if not dedekind_p_maximal(g, fact):
         raise NotPMaximal(
             f"polynomial {list(g.coefficients)} is not p-maximal at p={g.p}; "
             "the mod-p factorization does not determine the splitting"
         )
     loci = tuple(PrimeLocus(e=mult, f=degree(irr)) for irr, mult in fact.factors)
-    profile = SplittingProfile(g.p, loci)
-    if profile.degree != g.degree:
-        raise InternalCheckError("sum of e*f does not match the polynomial degree")
-    return profile, fact
+    return SplittingProfile(g.p, loci), fact

@@ -4,10 +4,11 @@ Five checks over a fixed panel of profiles: the determinant identity
 |det M| = prod (p**f - 1), the cone chain C^min <= C^st <= C^Hasse, the split
 criterion (equality iff totally split), the fibre-degree bridge against
 reducible directions, and the torsion divisor bound on all strata.  Each
-check calls the one predicate that states its invariant, in the module that
+check reads the one source that states its invariant, in the module that
 owns the mathematics (hasse.determinant_identity, cones.cone_chain,
-cones.split_criterion, strata.bridge_agrees, strata.within_torsion_bound);
-the `cones`, `bridge` and `picard` reports use the same predicates.
+cones.split_criterion, strata.bridge_agrees, and the per-locus verdict
+strata.torsion_summary gives as within_bound); the `cones`, `bridge` and
+`picard` reports read the same sources.
 
 The bridge and torsion checks hold at every weight and on every stratum once
 they hold on the d unit weights and on two strata (_bridge_check,
@@ -26,7 +27,7 @@ from .cones import cone_chain, hasse_cone, min_cone, split_criterion
 from .hasse import Weight, cycle_determinant, determinant_identity, hasse_matrix
 from .profile import PrimeLocus, SplittingProfile
 from .reduction import reducible_directions
-from .strata import bridge_agrees, fibre_degree, torsion_summary, within_torsion_bound
+from .strata import bridge_agrees, fibre_degree, torsion_summary
 
 
 def _profile(p: int, pairs) -> SplittingProfile:
@@ -84,7 +85,7 @@ def _torsion_check(c) -> bool:
     odd = ["0"] * c.d
     for block in c.blocks:
         odd[block.start] = "1"
-    return all(within_torsion_bound(c, torsion_summary(c, bits)) for bits in ("0" * c.d, "".join(odd)))
+    return all(torsion_summary(c, bits).within_bound for bits in ("0" * c.d, "".join(odd)))
 
 
 CHECKS = ("determinant_identity", "cone_chain", "split_criterion", "bridge_identity", "torsion_bound")

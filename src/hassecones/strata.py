@@ -30,8 +30,8 @@ each block's 2^|P| patterns.
 
 As a_P = p**f -+ 1 divides (p**f - 1)(p**f + 1) = p**(2f) - 1, the verdict
 is "pass" on every stratum the input contract allows: it guards against a
-wrong closed form.  within_torsion_bound checks the same bound on torsion
-orders from anywhere, such as the Smith-form oracle.
+wrong closed form.  It is decided once per locus piece, and the `picard`
+rows and selftest's torsion check both read it from PicardSummary.within_bound.
 
 The fibre-degree bridge: the relevant projective bundle on the Iwahori side
 has fibre degree p**r k_tau - (p**r / n_tau) k_{sigma^{-1} tau} over the
@@ -133,13 +133,6 @@ def torsion_summary(c: Carousel, bits: str) -> PicardSummary:
     )[0]
 
 
-def within_torsion_bound(c: Carousel, summary: PicardSummary) -> bool:
-    """Whether every omega_tau has finite order dividing p**(2f) - 1, f that of tau's locus."""
-    p = c.profile.p
-    orders = summary.torsion_orders
-    return all(_divides_bound(p, locus.f, orders[j]) for block, locus in zip(c.blocks, c.profile.loci) for j in block)
-
-
 # caps the 2^d strata of open_sweep, and with them its 2^(number of loci)
 # parity classes: every locus has at least one embedding
 MAX_SWEEP_DEGREE = 12
@@ -148,9 +141,9 @@ MAX_SWEEP_DEGREE = 12
 def open_sweep(c: Carousel) -> list[tuple[str, int, PicardSummary]]:
     """(bitstring, |T|, torsion of T) for every open stratum T, bitstrings in lexicographic order.
 
-    Agrees with torsion_summary and within_torsion_bound on every T.  Each
-    stratum reads the summary of its parity class, the class at the index
-    whose bits, locus 0 first, are its per-locus parities.
+    Agrees with torsion_summary on every T, verdict included.  Each stratum
+    reads the summary of its parity class, the class at the index whose bits,
+    locus 0 first, are its per-locus parities.
     """
     if c.d > MAX_SWEEP_DEGREE:
         raise InvariantError(f"degree {c.d} > MAX_SWEEP_DEGREE = {MAX_SWEEP_DEGREE}: 2^{c.d} open strata")

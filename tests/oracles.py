@@ -23,6 +23,9 @@ run:
     pairing check a SimplicialCone makes from the sparser side;
   * the Picard relation rows of a stratum, their Smith normal form with
     unimodular transforms, and torsion orders read off its transform;
+  * within_torsion_bound, the divisor bound p**(2f) - 1 checked embedding
+    by embedding on any torsion orders, the Smith-form ones included: the
+    reference for the verdict the library decides once per locus;
   * the bridge identity walked over every weight of a box, the reference
     for selftest's check on the unit weights;
   * factorization over GF(p) by one schoolbook `powmod` per degree and per
@@ -632,6 +635,17 @@ def torsion_summary(c: Carousel, bits: str) -> PicardSummary:
                 raise InternalCheckError(f"torsion order {orders[j]} at index {j} does not divide p^2f-1 = {bound}")
         offset += locus_data.degree
     return PicardSummary(facs, orders, prod(moduli), True)
+
+
+def within_torsion_bound(c: Carousel, summary: PicardSummary) -> bool:
+    """Whether every omega_tau has finite order dividing p**(2f) - 1, f that of tau's locus."""
+    p = c.profile.p
+    orders = summary.torsion_orders
+    return all(
+        orders[j] != 0 and (p ** (2 * locus.f) - 1) % orders[j] == 0
+        for block, locus in zip(c.blocks, c.profile.loci)
+        for j in block
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -593,6 +593,22 @@ def test_minpoly_commands_factor_once(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("minpoly, p", [("-1,0,1", "5"), ("1,0,0,0,1", "3"), ("2,0,0,0,1", "2")])
+def test_seed_changes_no_minpoly_payload(minpoly, p, capsys):
+    # the factorization draws one fixed stream, so --seed is accepted and
+    # inert; the memo is emptied before each command so that each one factors
+    degree = len(minpoly.split(",")) - 1
+    weight = ",".join(str(j + 1) for j in range(degree))
+    for command in (["profile"], ["reduce", "--weight", weight]):
+        payloads = []
+        for seed in (None, "0", "3", "12345"):
+            argv = command + [f"--minpoly={minpoly}", "--p", p] + ([] if seed is None else ["--seed", seed])
+            gfpoly.profile_from_minpoly.cache_clear()
+            assert main(argv) == 0
+            payloads.append(json.loads(capsys.readouterr().out)["payload"])
+        assert all(payload == payloads[0] for payload in payloads), (command, minpoly, p)
+
+
 def test_cones_builds_each_cone_once(monkeypatch):
     # the split check compares the cones `cones` already built, in either namespace
     calls = Counter()

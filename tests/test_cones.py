@@ -23,6 +23,7 @@ from hassecones import (
     DimensionMismatch,
     InternalCheckError,
     InvariantError,
+    SchemaError,
     SimplicialCone,
     Weight,
     build_carousel,
@@ -69,6 +70,19 @@ def test_membership_reads_fraction_entries_exactly():
     assert not verdict.member
     assert verdict.kind == "hrep-violation"
     assert verdict.witness == (0, Fraction(-1, 3))
+
+
+def test_membership_refuses_entries_that_are_neither_int_nor_fraction():
+    # a Fraction entry is read as it is and any other goes through
+    # integer_entries: a float or a numeric str is refused, not coerced, and
+    # so is a bool; numpy integers are integers
+    cone = std_cone(carousel_of(2, [(2, 1)]))
+    for x, got in (((0.5, "1/3"), r"\(0\.5,\)"), ((True, 1), r"\(True,\)"), (("1", 1), r"\('1',\)")):
+        with pytest.raises(SchemaError, match=f"^a vector entry that is not a Fraction must be an integer.*; got {got}$"):
+            contains(cone, x)
+    verdict = contains(cone, (np.int64(1), np.int32(-1)))
+    assert not verdict.member
+    assert verdict.witness == (0, Fraction(-1))
 
 
 def test_std_cone_is_the_orthant():

@@ -292,7 +292,7 @@ def test_factor_reconstruction_random():
     for _ in range(150):
         p = rng.choice(SMALL_PRIMES)
         spec = MinPolySpec(tuple(rng.randrange(-20, 21) for _ in range(rng.randint(2, 8))) + (1,), p)
-        fact = factor_mod_p(spec, seed=0)
+        fact = factor_mod_p(spec)
         assert fact.product() == spec.reduced()
         for poly, mult in fact.factors:
             assert mult >= 1
@@ -310,13 +310,6 @@ def test_factorization_refuses_a_product_that_does_not_multiply_back(monkeypatch
     monkeypatch.setattr(gfpoly, "equal_degree_factorization", lambda *args: equal_degree(*args)[1:])
     with pytest.raises(InternalCheckError, match="^factorization product check failed$"):
         factor_mod_p(spec)
-
-
-def test_factor_output_is_seed_independent():
-    spec = MinPolySpec((3, 1, 4, 1, 5, 9, 2, 1), 13)
-    baseline = factor_mod_p(spec, seed=0)
-    for seed in (1, 7, 12345):
-        assert factor_mod_p(spec, seed=seed).factors == baseline.factors
 
 
 def test_factor_order_is_canonical():
@@ -494,27 +487,27 @@ def test_profile_from_minpoly_remembers_no_refusal(monkeypatch):
         assert len(dedekind) == len(factored) == 2
 
 
-def test_profile_from_minpoly_factors_again_for_another_seed_or_prime(monkeypatch):
+def test_profile_from_minpoly_factors_again_for_another_prime(monkeypatch):
     factored = _counting(monkeypatch, "factor_mod_p")
     gfpoly.profile_from_minpoly.cache_clear()
-    calls = ((1, 0, 1), 5, 0), ((1, 0, 1), 5, 0), ((1, 0, 1), 5, 1), ((1, 0, 1), 13, 1), ((1, 0, 1), 13, 1)
+    calls = ((1, 0, 1), 5), ((1, 0, 1), 5), ((1, 0, 1), 13), ((1, 0, 1), 13), ((1, 0, 1), 5)
     counts = []
-    for coeffs, p, seed in calls:
-        profile_from_minpoly(MinPolySpec(coeffs, p), seed)
+    for coeffs, p in calls:
+        profile_from_minpoly(MinPolySpec(coeffs, p))
         counts.append(len(factored))
-    assert counts == [1, 1, 2, 3, 3]
+    assert counts == [1, 1, 2, 2, 3]
 
 
 def test_profile_from_minpoly_hit_equals_a_fresh_result():
     spec = MinPolySpec((3, 0, 1, 5, 0, 1), 7)
     gfpoly.profile_from_minpoly.cache_clear()
-    first = profile_from_minpoly(spec, 4)
-    assert profile_from_minpoly(spec, 4) is first
+    first = profile_from_minpoly(spec)
+    assert profile_from_minpoly(spec) is first
     gfpoly.profile_from_minpoly.cache_clear()
-    fresh = profile_from_minpoly(spec, 4)
+    fresh = profile_from_minpoly(spec)
     assert fresh is not first
     assert fresh == first
-    assert fresh[1] == factor_mod_p(spec, 4)
+    assert fresh[1] == factor_mod_p(spec)
 
 
 def test_profile_from_minpoly_result_is_frozen():

@@ -1,10 +1,11 @@
 """Stratum bitstrings, relation lattices, torsion, fibres.
 
-The relation rows and their Smith normal form are no longer library code;
-their tests run against the copies in tests/oracles.py, which are the
-reference for the closed-form torsion.  The closure of a stratum is walked
-by tests/helpers.py, which also builds the `picard` row of one stratum that
-every row of a full sweep must equal.
+The relation rows, their Smith normal form and the per-embedding torsion
+bound are no longer library code; their tests run against the copies in
+tests/oracles.py, which are the reference for the closed-form torsion and
+its per-locus verdict.  The closure of a stratum is walked by
+tests/helpers.py, which also builds the `picard` row of one stratum that every
+row of a full sweep must equal.
 """
 
 import json
@@ -25,7 +26,6 @@ from hassecones import (
     fibre_degree,
     reducible_directions,
     torsion_summary,
-    within_torsion_bound,
 )
 from hassecones import cli
 from hassecones import reduction, selftest, strata
@@ -42,7 +42,7 @@ from helpers import (
     stratum_row,
 )
 import oracles
-from oracles import invariant_factors, picard_relations, smith_normal_form
+from oracles import invariant_factors, picard_relations, smith_normal_form, within_torsion_bound
 
 MERSENNE_61 = 2**61 - 1
 
@@ -347,7 +347,7 @@ def test_torsion_verdict_fails_where_the_bound_is_made_to_fail(monkeypatch, chos
 
     texts = ["".join(bits) for bits in product("01", repeat=c.d)]
     for text, _, torsion in strata.open_sweep(c):
-        assert torsion.within_bound == within_torsion_bound(c, torsion) == (not odd_on_chosen(text)), text
+        assert torsion.within_bound == (not odd_on_chosen(text)), text
     for text in texts:
         assert torsion_summary(c, text).within_bound == (not odd_on_chosen(text)), text
     doc = json.dumps(profile.as_dict())
