@@ -1,13 +1,17 @@
 """Polynomial arithmetic over GF(p) and the splitting machinery built on it.
 
 Polynomials are tuples of ints in [0, p), ascending degree, with no trailing
-zeros; the zero polynomial is the empty tuple.  On top of the arithmetic sit
-squarefree decomposition (characteristic p, with the p-th root step), the
-residue ring GF(p)[x]/(f), distinct-degree factorization, Cantor-Zassenhaus
-equal-degree splitting drawing from a fixed generator, Dedekind's
-p-maximality criterion, and the derivation of a splitting profile from a
-minimal polynomial.  A factorization, and every profile read off it, is a
-function of the polynomial alone.
+zeros; the zero polynomial is the empty tuple.  Division and Euclid work on
+lists in place: a coefficient is reduced once, when it is read, and each
+remainder of Euclid is made monic in the pass that reduces it.  On top of
+the arithmetic sit squarefree decomposition (characteristic p, with the p-th
+root step), the residue ring GF(p)[x]/(f), distinct-degree factorization,
+Cantor-Zassenhaus equal-degree splitting drawing from a fixed generator,
+Dedekind's p-maximality criterion, and the derivation of a splitting
+profile from a minimal polynomial.  A factorization, and every profile read
+off it, is a function of the polynomial alone; the product of its lifted
+factors mod p**2 is built once and serves both its own product check and
+Dedekind's criterion.
 
 `Residues` holds each element of GF(p)[x]/(f) as one Python int, its
 coefficients in Montgomery form packed into byte-aligned slots (Kronecker
@@ -49,7 +53,11 @@ def trim(coeffs) -> Poly:
 
 
 def normalize(coeffs, p: int) -> Poly:
-    return trim(c % p for c in coeffs)
+    """Reduce mod p and trim."""
+    out = [c % p for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 def degree(a: Poly) -> int:
@@ -83,24 +91,38 @@ def scale(a: Poly, c: int, p: int) -> Poly:
     return trim(x * c % p for x in a)
 
 
-def divmod_poly(a: Poly, b: Poly, p: int) -> tuple[Poly, Poly]:
-    """Quotient and remainder; b must be nonzero."""
+def _divide_in_place(rem: list[int], b: Poly, p: int) -> None:
+    """Divide rem by the nonzero b in place.
+
+    Afterwards rem[n:] (n = deg b) is the quotient and rem[:n], reduced mod
+    p, the remainder.  Each step reads the top coefficient t, reduces it to
+    the quotient coefficient c = t / lead and subtracts c b_i below it
+    without reducing, so every coefficient is reduced once, when it is read.
+    """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(b[-1], -1, p) if b[-1] != 1 else 1
+    n = len(b) - 1
+    inv = pow(b[-1], -1, p) if b[-1] != 1 else 1
+    for top in range(len(rem) - 1, n - 1, -1):
+        c = rem[top] * inv % p
+        if c:
+            for i, x in enumerate(b, top - n):
+                rem[i] -= c * x
+        rem[top] = c
+
+
+def divmod_poly(a: Poly, b: Poly, p: int) -> tuple[Poly, Poly]:
+    """Quotient and remainder; b must be nonzero."""
     rem = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    for shift in range(len(a) - len(b), -1, -1):
-        coef = rem[shift + len(b) - 1] * inv_lead % p
-        if coef:
-            q[shift] = coef
-            for i, bc in enumerate(b):
-                rem[shift + i] = (rem[shift + i] - coef * bc) % p
-    return trim(q), trim(rem)
+    _divide_in_place(rem, b, p)
+    n = len(b) - 1
+    return trim(rem[n:]), normalize(rem[:n], p)
 
 
 def mod(a: Poly, b: Poly, p: int) -> Poly:
-    return divmod_poly(a, b, p)[1]
+    rem = list(a)
+    _divide_in_place(rem, b, p)
+    return normalize(rem[: len(b) - 1], p)
 
 
 def monic(a: Poly, p: int) -> Poly:
@@ -110,9 +132,25 @@ def monic(a: Poly, p: int) -> Poly:
 
 
 def gcd(a: Poly, b: Poly, p: int) -> Poly:
-    while b:
-        a, b = b, mod(a, b, p)
-    return monic(a, p)
+    """Monic gcd by one remainder loop on lists.
+
+    Each remainder is reduced and made monic in one pass, so every divisor
+    is monic and costs one inverse; no quotient is kept.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return monic(a, p)
+    a, b = list(a), list(monic(b, p))
+    while True:
+        _divide_in_place(a, b, p)
+        k = len(b) - 1
+        while k and not a[k - 1] % p:
+            k -= 1
+        if not k:
+            return tuple(b)
+        inv = pow(a[k - 1], -1, p)
+        a, b = b, [c * inv % p for c in a[:k]]
 
 
 def derivative(a: Poly, p: int) -> Poly:
@@ -352,13 +390,23 @@ class ModPFactorization:
     p: int
     factors: tuple[tuple[Poly, int], ...]
 
-    def product(self, modulus: int | None = None) -> Poly:
-        """prod g**m over the factors as integer polynomials, coefficients reduced mod modulus (default p)."""
-        acc = ONE
+    @functools.cached_property
+    def lifted_product(self) -> Poly:
+        """prod lift(g_i)**e_i with coefficients reduced mod p**2, built once.
+
+        A Poly already stores coefficients in [0, p), so it is its own lift to
+        Z.  factor_mod_p's product check reads it mod p, and Dedekind's
+        criterion reads it whole.
+        """
+        acc, modulus = ONE, self.p * self.p
         for g, m in self.factors:
             for _ in range(m):
-                acc = mul(acc, g, modulus or self.p)
+                acc = mul(acc, g, modulus)
         return acc
+
+    def product(self) -> Poly:
+        """prod g_i**e_i over GF(p): the lifted product reduced mod p."""
+        return normalize(self.lifted_product, self.p)
 
 
 def factor_mod_p(g: MinPolySpec) -> ModPFactorization:
@@ -395,8 +443,7 @@ def dedekind_p_maximal(g: MinPolySpec, fact: ModPFactorization) -> bool:
     hand-built fact with a reducible g_i may get a wrong verdict, unchecked.
     """
     p = g.p
-    # a Poly already stores coefficients in [0, p), so it is its own lift to Z
-    diff = [a - b for a, b in zip_longest(fact.product(p * p), g.coefficients, fillvalue=0)]
+    diff = [a - b for a, b in zip_longest(fact.lifted_product, g.coefficients, fillvalue=0)]
     if any(c % p for c in diff):
         raise InternalCheckError("prod lift(g_i)**e_i - g is not divisible by p")
     fbar = normalize((c // p for c in diff), p)

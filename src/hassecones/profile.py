@@ -5,11 +5,13 @@ degrees of the primes P above p, together with p itself.  Everything
 downstream (embedding carousel, Hasse matrix, cones, strata) is a function of
 this data alone, so a profile is declared directly, as the one JSON
 document shape ``parse_profile`` reads, or derived from a minimal polynomial
-by ``profile_from_minpoly``.
+by ``profile_from_minpoly``.  p must be a prime below 2**64, decided by
+``is_prime``, which remembers its last answer.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import operator
 from dataclasses import dataclass
@@ -19,26 +21,48 @@ from .errors import InvariantError, SchemaError
 MAX_PRIME = 2**64
 MAX_DEGREE = 64
 
-# Jaeschke/Sorenson-Webster witness set: deterministic for n < 3.3 * 10**24,
-# which covers the 64-bit range accepted here.
+# (psi_k, k): the first k primes decide, by strong probable-prime tests, every
+# n below psi_k, the least strong pseudoprime to all of them (Jaeschke, Math.
+# Comp. 61, 1993; Jiang & Deng, Math. Comp. 83, 2014).  psi_8 = psi_7 and
+# psi_9 = psi_10 = psi_11, so 8, 10 and 11 witnesses would extend no band;
+# psi_12 is above 2**64.
+_MR_BANDS = (
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (MAX_PRIME, 12),
+)
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@functools.lru_cache(maxsize=1)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for n below 2**64."""
+    """Deterministic Miller-Rabin primality test for n below MAX_PRIME = 2**64.
+
+    Trial division by the twelve witnesses first, then as many of them as
+    n's band of _MR_BANDS needs.  The last n answered is remembered, so the
+    MinPolySpec and the SplittingProfile of one p decide it once; n at or
+    above the cap raises InvariantError, since twelve witnesses no longer
+    decide there (psi_12 and psi_13 pass them all).
+    """
+    if n >= MAX_PRIME:
+        raise InvariantError("is_prime decides only n below MAX_PRIME = 2**64")
     if n < 2:
         return False
     for q in _MR_WITNESSES:
-        if n == q:
-            return True
         if n % q == 0:
-            return False
+            return n == q
+    k = next(k for bound, k in _MR_BANDS if n < bound)
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[:k]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -28,25 +28,32 @@ run:
     reference for the verdict the library decides once per locus;
   * the bridge identity walked over every weight of a box, the reference
     for selftest's check on the unit weights;
+  * Miller-Rabin with all twelve witnesses on every n, the reference for the
+    witness set the library sizes to n;
+  * division with remainder and Euclid on coefficient tuples, one inverse
+    and one quotient per step, the reference for the library's remainder
+    loop on lists;
   * factorization over GF(p) by one schoolbook `powmod` per degree and per
-    split, the reference for the packed residue ring and its Frobenius
-    matrix, with the polynomial sum and evaluation it and the tests use;
+    split, on those tuple kernels, the reference for the packed residue ring
+    and its Frobenius matrix, with the polynomial sum and evaluation it and
+    the tests use;
   * Dedekind's criterion by the gcd of F mod p with g* and h*, the reference
     for the library's one remainder per repeated factor.
 
 Determinants and linear solves also have the Fraction elimination of
 tests/helpers.py as a reference.  Names that clash with the library
-(contains, cone_subset, cone_equal, torsion_summary,
-distinct_degree_factorization, equal_degree_factorization,
+(contains, cone_subset, cone_equal, torsion_summary, is_prime, divmod_poly,
+mod, gcd, distinct_degree_factorization, equal_degree_factorization,
 dedekind_p_maximal) are meant to be used qualified: oracles.contains.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, prod
+from math import prod
 
 from hassecones import gfpoly
 from hassecones.carousel import Carousel
@@ -143,7 +150,7 @@ def dot(a, b) -> int:
 def content(v) -> int:
     g = 0
     for x in v:
-        g = gcd(g, x)
+        g = math.gcd(g, x)
     return g
 
 
@@ -394,7 +401,7 @@ def farkas_membership(rays, x: tuple[Fraction, ...]):
     z = [-sign[i] * y[i] for i in range(dim)]
     denom_lcm = 1
     for v in z:
-        denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
+        denom_lcm = denom_lcm * v.denominator // math.gcd(denom_lcm, v.denominator)
     zi = primitive(tuple(int(v * denom_lcm) for v in z))
     if sum(w * v for w, v in zip(zi, x)) >= 0:
         raise InternalCheckError("separator fails z.x < 0")
@@ -603,8 +610,8 @@ def _element_order(moduli, coords) -> int:
             continue
         if modulus == 1:
             continue
-        step = modulus // gcd(modulus, v % modulus)
-        order = order * step // gcd(order, step)
+        step = modulus // math.gcd(modulus, v % modulus)
+        order = order * step // math.gcd(order, step)
     return order
 
 
@@ -673,6 +680,68 @@ def bridge_walk(c: Carousel) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Primality by twelve witnesses
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve primes as witnesses, whatever n's size.
+
+    Deterministic below psi_12 = 318665857834031151167461, which is above 2**64.
+    """
+    witnesses = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for q in witnesses:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in witnesses:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Division and Euclid on coefficient tuples
+
+
+def divmod_poly(a: gfpoly.Poly, b: gfpoly.Poly, p: int) -> tuple[gfpoly.Poly, gfpoly.Poly]:
+    """Quotient and remainder; b must be nonzero."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    inv_lead = pow(b[-1], -1, p) if b[-1] != 1 else 1
+    rem = list(a)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    for shift in range(len(a) - len(b), -1, -1):
+        coef = rem[shift + len(b) - 1] * inv_lead % p
+        if coef:
+            q[shift] = coef
+            for i, bc in enumerate(b):
+                rem[shift + i] = (rem[shift + i] - coef * bc) % p
+    return gfpoly.trim(q), gfpoly.trim(rem)
+
+
+def mod(a: gfpoly.Poly, b: gfpoly.Poly, p: int) -> gfpoly.Poly:
+    return divmod_poly(a, b, p)[1]
+
+
+def gcd(a: gfpoly.Poly, b: gfpoly.Poly, p: int) -> gfpoly.Poly:
+    while b:
+        a, b = b, mod(a, b, p)
+    return gfpoly.monic(a, p)
+
+
+# ---------------------------------------------------------------------------
 # Factorization over GF(p), one powmod per degree
 
 
@@ -692,12 +761,12 @@ def evaluate(a: gfpoly.Poly, x: int, p: int) -> int:
 
 def powmod(a: gfpoly.Poly, e: int, m: gfpoly.Poly, p: int) -> gfpoly.Poly:
     """a**e modulo the polynomial m, by schoolbook products and remainders."""
-    result = gfpoly.mod(gfpoly.ONE, m, p)
-    a = gfpoly.mod(a, m, p)
+    result = mod(gfpoly.ONE, m, p)
+    a = mod(a, m, p)
     while e:
         if e & 1:
-            result = gfpoly.mod(gfpoly.mul(result, a, p), m, p)
-        a = gfpoly.mod(gfpoly.mul(a, a, p), m, p)
+            result = mod(gfpoly.mul(result, a, p), m, p)
+        a = mod(gfpoly.mul(a, a, p), m, p)
         e >>= 1
     return result
 
@@ -705,17 +774,17 @@ def powmod(a: gfpoly.Poly, e: int, m: gfpoly.Poly, p: int) -> gfpoly.Poly:
 def distinct_degree_factorization(f: gfpoly.Poly, p: int) -> list[tuple[gfpoly.Poly, int]]:
     """Squarefree monic f -> [(product of irreducible factors of degree d, d)]."""
     out = []
-    h = gfpoly.mod(gfpoly.X, f, p)
+    h = mod(gfpoly.X, f, p)
     rest = f
     d = 0
     while gfpoly.degree(rest) >= 2 * (d + 1):
         d += 1
         h = powmod(h, p, rest, p)
-        g = gfpoly.gcd(gfpoly.sub(h, gfpoly.X, p), rest, p)
+        g = gcd(gfpoly.sub(h, gfpoly.X, p), rest, p)
         if gfpoly.degree(g) > 0:
             out.append((g, d))
-            rest = gfpoly.divmod_poly(rest, g, p)[0]
-            h = gfpoly.mod(h, rest, p)
+            rest = divmod_poly(rest, g, p)[0]
+            h = mod(h, rest, p)
     if gfpoly.degree(rest) > 0:
         out.append((rest, gfpoly.degree(rest)))
     return out
@@ -733,23 +802,23 @@ def equal_degree_factorization(f: gfpoly.Poly, d: int, p: int, rng) -> list[gfpo
         a = gfpoly._random_poly(n - 1, p, rng)
         if gfpoly.degree(a) < 1:
             continue
-        g = gfpoly.gcd(a, f, p)
+        g = gcd(a, f, p)
         if 0 < gfpoly.degree(g) < n:
             break
         if p % 2 == 1:
             b = powmod(a, (p**d - 1) // 2, f, p)
-            g = gfpoly.gcd(gfpoly.sub(b, gfpoly.ONE, p), f, p)
+            g = gcd(gfpoly.sub(b, gfpoly.ONE, p), f, p)
         else:
             # Trace map replaces the odd-characteristic power trick.
             b = gfpoly.ZERO
-            t = gfpoly.mod(a, f, p)
+            t = mod(a, f, p)
             for _ in range(d):
                 b = add(b, t, p)
-                t = gfpoly.mod(gfpoly.mul(t, t, p), f, p)
-            g = gfpoly.gcd(b, f, p)
+                t = mod(gfpoly.mul(t, t, p), f, p)
+            g = gcd(b, f, p)
         if 0 < gfpoly.degree(g) < n:
             break
-    other = gfpoly.divmod_poly(f, g, p)[0]
+    other = divmod_poly(f, g, p)[0]
     return equal_degree_factorization(g, d, p, rng) + equal_degree_factorization(other, d, p, rng)
 
 
@@ -778,5 +847,5 @@ def dedekind_p_maximal(g: gfpoly.MinPolySpec, fact: gfpoly.ModPFactorization) ->
     if any(c % p for c in diff):
         raise InternalCheckError("g* h* - g is not divisible by p")
     fbar = gfpoly.normalize((c // p for c in diff), p)
-    d1 = gfpoly.gcd(fbar, gstar_bar, p)
-    return gfpoly.degree(gfpoly.gcd(d1, hstar_bar, p)) == 0
+    d1 = gcd(fbar, gstar_bar, p)
+    return gfpoly.degree(gcd(d1, hstar_bar, p)) == 0

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from hassecones import SplittingProfile, cli, cones, errors, gfpoly, selftest
 from hassecones.cli import MAX_BRIDGE_POWER, MAX_WEIGHT_BITS, UsageError, main, render, run
-from hassecones.profile import profile_from_data
+from hassecones.profile import is_prime, profile_from_data
 
 from helpers import profile_of
 
@@ -591,6 +591,29 @@ def test_minpoly_commands_factor_once(monkeypatch):
     assert len(calls) == 1
     _payload(["reduce", "--minpoly=1,1,1", "--p", "2", "--weight", "4,1"])
     assert len(calls) == 2
+
+
+def test_minpoly_commands_decide_p_once():
+    # MinPolySpec and SplittingProfile under `profile`, and MinPolySpec again
+    # under `reduce`, all ask is_prime about the one p; with both memos
+    # emptied first, only the first ask runs Miller-Rabin
+    gfpoly.profile_from_minpoly.cache_clear()
+    is_prime.cache_clear()
+    p = str(2**61 - 1)
+    _payload(["profile", "--minpoly=-1,-1,1", "--p", p])
+    _payload(["reduce", "--minpoly=-1,-1,1", "--p", p, "--weight", "4,1"])
+    assert is_prime.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("p", ["561", "3215031751", str(2**64 - 57), str(2**64 + 13)])
+def test_minpoly_commands_refuse_a_bad_p_each_time(p):
+    # a remembered verdict refuses as the first one did; 2**64 + 13 is prime
+    # but past the cap, which MinPolySpec tests before asking is_prime
+    for argv in (["profile"], ["reduce", "--weight", "4,1"]):
+        for _ in range(2):
+            report, code = run(argv + ["--minpoly=-1,-1,1", "--p", p])
+            assert code == 3
+            assert report["error"] == {"type": "InvariantError", "message": f"p = {p} is not a prime below 2**64"}
 
 
 @pytest.mark.parametrize("minpoly, p", [("-1,0,1", "5"), ("1,0,0,0,1", "3"), ("2,0,0,0,1", "2")])

@@ -38,6 +38,7 @@ from hassecones.gfpoly import (
     pth_root,
     squarefree_decomposition,
     sub,
+    trim,
     distinct_degree_factorization,
 )
 import oracles
@@ -115,6 +116,53 @@ def test_gcd_is_monic_and_divides():
         _, rem = divmod_poly(d, f, p)
         assert rem == ()
         assert d == monic(d, p)
+
+
+def _all_polys(p, max_degree):
+    """Every polynomial over GF(p) of degree at most max_degree, zero included."""
+    return [trim(coeffs) for coeffs in itertools.product(range(p), repeat=max_degree + 1)]
+
+
+def _kernels_agree(a, b, p):
+    assert gcd(a, b, p) == oracles.gcd(a, b, p), (a, b, p)
+    if b:
+        expected = oracles.divmod_poly(a, b, p)
+        assert divmod_poly(a, b, p) == expected, (a, b, p)
+        assert mod(a, b, p) == expected[1], (a, b, p)
+
+
+def test_euclid_on_lists_equals_the_tuple_oracle_exhaustively():
+    # every pair of degree <= 3 over GF(2) and GF(3), and of degree <= 2 over
+    # GF(5), with a zero a, non-monic b and deg a < deg b among them; the
+    # 390,625 pairs of degree <= 3 over GF(5) would take over 10 s, so a
+    # seeded 20,000 of them stand in
+    for p, max_degree in ((2, 3), (3, 3), (5, 2)):
+        polys = _all_polys(p, max_degree)
+        for a in polys:
+            for b in polys:
+                _kernels_agree(a, b, p)
+    rng = random.Random(5)
+    polys = _all_polys(5, 3)
+    for _ in range(20000):
+        _kernels_agree(rng.choice(polys), rng.choice(polys), 5)
+    for division in (divmod_poly, mod, oracles.divmod_poly, oracles.mod):
+        with pytest.raises(ZeroDivisionError):
+            division((1, 1), (), 5)
+
+
+@pytest.mark.parametrize("p", (2**61 - 1, 2**64 - 59))
+def test_euclid_on_lists_equals_the_tuple_oracle_at_large_primes(p):
+    rng = random.Random(p)
+    for _ in range(60):
+        a = trim(rng.randrange(p) for _ in range(rng.randint(0, 65)))
+        b = trim(rng.randrange(p) for _ in range(rng.randint(0, 65)))
+        _kernels_agree(a, b, p)
+        # a common factor of degree up to 32, so that the gcd is not 1
+        f = trim(rng.randrange(p) for _ in range(rng.randint(1, 33)))
+        fa, fb = mul(f, a[:32], p), mul(f, b[:32], p)
+        _kernels_agree(fa, fb, p)
+        if a[:32] and b[:32]:
+            assert degree(gcd(fa, fb, p)) >= degree(f)
 
 
 def test_powmod_agrees_with_repeated_multiplication():
@@ -427,6 +475,23 @@ def test_dedekind_refuses_a_factorization_that_does_not_multiply_back():
         for kept in (fact.factors[:1], fact.factors[1:]):
             with pytest.raises(InternalCheckError, match="is not divisible by p"):
                 dedekind_p_maximal(spec, ModPFactorization(spec.p, kept))
+
+
+def test_one_lifted_product_serves_both_checks(monkeypatch):
+    # factor_mod_p's product check builds prod lift(g_i)**e_i mod p**2 once,
+    # and Dedekind's criterion reads that same product without multiplying
+    spec = MinPolySpec((-8, -2, -1, 1), 2)
+    fact = factor_mod_p(spec)
+    assert "lifted_product" in vars(fact)
+    # the product over Z, reduced mod p**2 once at the end
+    over_z = ONE
+    for g, e in fact.factors:
+        for _ in range(e):
+            over_z = gfpoly._int_poly_mul(over_z, g)
+    assert fact.lifted_product == normalize(over_z, 4)
+    assert fact.product() == normalize(over_z, 2) == spec.reduced()
+    monkeypatch.setattr(gfpoly, "mul", None)
+    assert dedekind_p_maximal(spec, fact) is False
 
 
 def test_profile_from_minpoly_worked_examples():

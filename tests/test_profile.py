@@ -1,6 +1,7 @@
 """Splitting-profile parsing, validation, and primality testing."""
 
 import json
+import random
 
 import pytest
 
@@ -14,8 +15,9 @@ from hassecones import (
     parse_profile,
     profile_from_minpoly,
 )
-from hassecones.profile import MAX_DEGREE, profile_from_data
+from hassecones.profile import MAX_DEGREE, MAX_PRIME, profile_from_data
 
+import oracles
 from helpers import profile_of
 
 
@@ -168,6 +170,74 @@ def test_is_prime_on_large_inputs():
     assert not is_prime(561)  # Carmichael number
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
     assert is_prime(18446744073709551557)  # largest prime below 2**64
+
+
+# psi_k, the least strong pseudoprime to the first k primes, for each distinct
+# value with k <= 11 (psi_8 = psi_7 and psi_9 = psi_10 = psi_11), and the two
+# past 2**64 that pass all twelve witnesses.
+LEAST_STRONG_PSEUDOPRIMES = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+)
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+# The upper ends of the witness bands: below each, a fixed prefix of the
+# twelve witnesses decides.
+BAND_BOUNDS = LEAST_STRONG_PSEUDOPRIMES[1:] + (MAX_PRIME,)
+
+
+def test_is_prime_rejects_each_least_strong_pseudoprime():
+    for n in LEAST_STRONG_PSEUDOPRIMES:
+        assert not is_prime(n), n
+
+
+def test_is_prime_refuses_n_at_or_above_its_cap():
+    # both pass all twelve witnesses, so only the cap keeps them out
+    assert oracles.is_prime(PSI_12) and oracles.is_prime(PSI_13)
+    for n in (MAX_PRIME, MAX_PRIME + 13, PSI_12, PSI_13):
+        with pytest.raises(InvariantError, match=r"^is_prime decides only n below MAX_PRIME = 2\*\*64$"):
+            is_prime(n)
+    assert is_prime(2**64 - 59)
+
+
+def _largest_prime_below(bound):
+    n = bound - 1
+    while not oracles.is_prime(n):
+        n -= 1
+    return n
+
+
+def test_is_prime_agrees_with_twelve_witnesses_in_every_band():
+    rng = random.Random(28)
+    low = 2
+    for bound in BAND_BOUNDS:
+        largest = _largest_prime_below(bound)
+        assert is_prime(largest), largest
+        sample = [rng.randrange(low, bound) for _ in range(200)]
+        # random draws are mostly composite, so add the next prime after a few
+        starts = [rng.randrange(low, bound) for _ in range(20)]
+        for start in starts:
+            n = start
+            while not oracles.is_prime(n):
+                n += 1
+            sample.append(n)
+        for n in sample:
+            assert is_prime(n) == oracles.is_prime(n), n
+        low = bound
+
+
+def test_is_prime_remembers_one_answer():
+    is_prime.cache_clear()
+    assert is_prime(2**61 - 1) and is_prime(2**61 - 1)
+    assert not is_prime(2**61 + 1)
+    info = is_prime.cache_info()
+    assert (info.hits, info.misses, info.maxsize, info.currsize) == (1, 2, 1, 1)
 
 
 def test_profiles_are_hashable_values():
